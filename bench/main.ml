@@ -42,6 +42,14 @@ let timed f =
   let stop = Monotonic_clock.now () in
   (result, Int64.to_float (Int64.sub stop start) /. 1e9)
 
+let print_caches caches =
+  List.iter
+    (fun (name, (c : Numerics.Memo.counters)) ->
+      Printf.printf "  cache %-10s %3d lookups, %3d hits (%.0f%%)\n" name
+        c.Numerics.Memo.lookups c.Numerics.Memo.hits
+        (100.0 *. Numerics.Memo.hit_rate c))
+    caches
+
 (* Domain pool shared by every artifact; --jobs N selects its size
    (default 1 = the exact sequential code). *)
 let jobs = ref 1
@@ -592,20 +600,11 @@ let batch _full =
      bit-identical: %b\n"
     n (Io.Table.seconds cold_seconds) (Io.Table.seconds batch_seconds)
     !jobs speedup identical;
-  let fg = Numerics.Fox_glynn.cache_counters () in
   let caches =
     Checker.memo_counters memo
-    @ [ ("fox_glynn",
-         { Perf.Batch.lookups = fg.Numerics.Fox_glynn.lookups;
-           hits = fg.Numerics.Fox_glynn.hits;
-           misses = fg.Numerics.Fox_glynn.misses }) ]
+    @ [ ("fox_glynn", Numerics.Fox_glynn.cache_counters ()) ]
   in
-  List.iter
-    (fun (name, (c : Perf.Batch.counters)) ->
-      Printf.printf "  cache %-10s %3d lookups, %3d hits (%.0f%%)\n" name
-        c.Perf.Batch.lookups c.Perf.Batch.hits
-        (100.0 *. Batch.hit_rate c))
-    caches;
+  print_caches caches;
   let batch_json =
     Io.Json.Object
       [ ("queries", Io.Json.Number (float_of_int n));
@@ -614,19 +613,7 @@ let batch _full =
         ("batch_seconds", Io.Json.Number batch_seconds);
         ("speedup", Io.Json.Number speedup);
         ("identical", Io.Json.Bool identical);
-        ("caches",
-         Io.Json.Object
-           (List.map
-              (fun (name, (c : Perf.Batch.counters)) ->
-                (name,
-                 Io.Json.Object
-                   [ ("lookups",
-                      Io.Json.Number (float_of_int c.Perf.Batch.lookups));
-                     ("hits", Io.Json.Number (float_of_int c.Perf.Batch.hits));
-                     ("misses",
-                      Io.Json.Number (float_of_int c.Perf.Batch.misses));
-                     ("hit_rate", Io.Json.Number (Batch.hit_rate c)) ]))
-              caches)) ]
+        ("caches", Batch.caches_json caches) ]
   in
   (* Merge into BENCH_perf.json so `perf batch` produces one document. *)
   let existing =
@@ -899,20 +886,11 @@ let frontier _full =
     (Io.Table.seconds cold_seconds) !cold_evaluations grid
     (Io.Table.seconds sweep_seconds) result.Batch.Frontier.evaluations
     speedup !cold_identical;
-  let fg = Numerics.Fox_glynn.cache_counters () in
   let caches =
     Checker.memo_counters memo
-    @ [ ("fox_glynn",
-         { Perf.Batch.lookups = fg.Numerics.Fox_glynn.lookups;
-           hits = fg.Numerics.Fox_glynn.hits;
-           misses = fg.Numerics.Fox_glynn.misses }) ]
+    @ [ ("fox_glynn", Numerics.Fox_glynn.cache_counters ()) ]
   in
-  List.iter
-    (fun (name, (co : Perf.Batch.counters)) ->
-      Printf.printf "  cache %-10s %3d lookups, %3d hits (%.0f%%)\n" name
-        co.Perf.Batch.lookups co.Perf.Batch.hits
-        (100.0 *. Batch.hit_rate co))
-    caches;
+  print_caches caches;
   let frontier_json =
     Io.Json.Object
       [ ("states", Io.Json.Number (float_of_int states));
@@ -933,20 +911,7 @@ let frontier _full =
         ("sweep_seconds", Io.Json.Number sweep_seconds);
         ("speedup", Io.Json.Number speedup);
         ("identical", Io.Json.Bool !cold_identical);
-        ("caches",
-         Io.Json.Object
-           (List.map
-              (fun (name, (co : Perf.Batch.counters)) ->
-                (name,
-                 Io.Json.Object
-                   [ ("lookups",
-                      Io.Json.Number (float_of_int co.Perf.Batch.lookups));
-                     ("hits",
-                      Io.Json.Number (float_of_int co.Perf.Batch.hits));
-                     ("misses",
-                      Io.Json.Number (float_of_int co.Perf.Batch.misses));
-                     ("hit_rate", Io.Json.Number (Batch.hit_rate co)) ]))
-              caches)) ]
+        ("caches", Batch.caches_json caches) ]
   in
   let existing =
     match open_in_bin "BENCH_perf.json" with
@@ -1141,8 +1106,8 @@ let serve_scale _full =
       (fun (name, builtin) ->
         match Server.Registry.load reg ~name ~builtin () with
         | Ok _ -> ()
-        | Error message ->
-          prerr_endline ("serve-scale: " ^ message);
+        | Error _ ->
+          prerr_endline ("serve-scale: cannot load " ^ builtin);
           exit 1)
       sources;
     let req_read, req_write = Unix.pipe ~cloexec:false () in

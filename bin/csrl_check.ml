@@ -5,38 +5,103 @@
      csrl-check --file station.mrm --engine erlang:256 'P=? ( F[t<=2] down )'
      csrl-check --model adhoc --list-propositions *)
 
-let print_states labeling mask_or_probs =
-  let n = Markov.Labeling.n_states labeling in
-  for s = 0 to n - 1 do
-    let labels = String.concat "," (Markov.Labeling.labels_of_state labeling s) in
-    let labels = if labels = "" then "-" else labels in
-    match mask_or_probs with
-    | `Mask mask ->
-      Printf.printf "  state %2d  [%-40s]  %s\n" s labels
-        (if mask.(s) then "SATISFIED" else "violated")
-    | `Probs probs ->
-      Printf.printf "  state %2d  [%-40s]  %.10f\n" s labels probs.{s}
-    | `Tri tris ->
-      Printf.printf "  state %2d  [%-40s]  %s\n" s labels
-        (match tris.(s) with
-         | Checker.Holds -> "SATISFIED"
-         | Checker.Fails -> "violated"
-         | Checker.Unknown -> "UNKNOWN")
-    | `Bounds (env : Robust.Envelope.result) ->
-      Printf.printf "  state %2d  [%-40s]  [%.10f, %.10f]\n" s labels
-        env.Robust.Envelope.lo.{s} env.Robust.Envelope.hi.{s}
-  done
+(* Every refusal — a bad flag, a model that does not load, a query with
+   no procedure — is one line on stderr and exit 2.  Flushing stdout
+   first keeps a header printed before the refusal ahead of it. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun message ->
+      flush stdout;
+      prerr_endline message;
+      exit 2)
+    fmt
 
-(* The envelope of the initial distribution's satisfaction mass: lower
-   bound from the certainly-satisfying states, upper bound from the
-   not-certainly-violating ones. *)
-let tri_mass init tris =
-  let mass keep =
-    Linalg.Vec.dot init
-      (Linalg.Vec.init (Array.length tris) (fun s ->
-           if keep tris.(s) then 1.0 else 0.0))
+let refusing ~model f =
+  match f () with
+  | v -> v
+  | exception (Checker.Unsupported message | Perf.Symbolic.Unsupported message)
+    ->
+    fail "unsupported: %s" message
+  | exception Markov.Labeling.Unknown_proposition p ->
+    fail "unknown proposition %S" p
+  | exception Lang.Gcm.Runtime_error message ->
+    fail "%s: runtime error: %s" model message
+
+let parse_query text =
+  match Logic.Parser.query text with
+  | query -> query
+  | exception Logic.Parser.Parse_error (message, pos) ->
+    fail "parse error at position %d: %s" pos message
+
+let render_query query = Format.asprintf "%a" Logic.Ast.pp_query query
+
+let unknown_model name =
+  Printf.eprintf "unknown model %S; built-in models:\n" name;
+  let list = List.iter (fun (n, d) -> Printf.eprintf "  %-16s %s\n" n d) in
+  list Models.Builtin.all;
+  prerr_endline "interval variants:";
+  list Models.Builtin.all_robust;
+  exit 2
+
+(* The per-state answers, the initial distribution's view of them, and
+   the exit code: 0 when the initial distribution satisfies the formula
+   (or for a value), 1 when it does not, 3 when an interval model leaves
+   it open. *)
+let print_verdict labeling init (verdict : Checker.verdict) =
+  let cell =
+    match verdict with
+    | Boolean mask -> fun s -> if mask.(s) then "SATISFIED" else "violated"
+    | Numeric probs -> fun s -> Printf.sprintf "%.10f" probs.{s}
+    | Three_valued tris -> begin
+        fun s ->
+          match tris.(s) with
+          | Checker.Holds -> "SATISFIED"
+          | Checker.Fails -> "violated"
+          | Checker.Unknown -> "UNKNOWN"
+      end
+    | Interval { Robust.Envelope.lo; hi } ->
+      fun s -> Printf.sprintf "[%.10f, %.10f]" lo.{s} hi.{s}
   in
-  (mass (fun t -> t = Checker.Holds), mass (fun t -> t <> Checker.Fails))
+  for s = 0 to Markov.Labeling.n_states labeling - 1 do
+    let labels = String.concat "," (Markov.Labeling.labels_of_state labeling s) in
+    Printf.printf "  state %2d  [%-40s]  %s\n" s
+      (if labels = "" then "-" else labels)
+      (cell s)
+  done;
+  let lo, hi = Batch.initial_value ~init verdict in
+  match verdict with
+  | Boolean _ ->
+    Printf.printf "initial distribution satisfies the formula with mass %g\n"
+      lo;
+    if lo < 1.0 then 1 else 0
+  | Three_valued _ ->
+    Printf.printf
+      "initial distribution satisfies the formula with mass in [%g, %g]\n" lo
+      hi;
+    if hi < 1.0 then 1 else if lo < 1.0 then 3 else 0
+  | Numeric _ ->
+    Printf.printf "value from the initial distribution: %.10f\n" lo;
+    0
+  | Interval _ ->
+    Printf.printf "value from the initial distribution: [%.10f, %.10f]\n" lo
+      hi;
+    0
+
+let interval_shape imrm =
+  Printf.sprintf "%d states, %d rate intervals, max width %g"
+    (Robust.Imrm.n_states imrm)
+    (Robust.Imrm.n_transitions imrm)
+    (Robust.Imrm.max_width imrm)
+
+let print_propositions labeling =
+  List.iter
+    (fun p ->
+      let mask = Markov.Labeling.sat labeling p in
+      let count =
+        Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask
+      in
+      Printf.printf "  %-24s (%d states)\n" p count)
+    (Markov.Labeling.propositions labeling)
 
 let print_info mrm labeling init =
   let chain = Markov.Mrm.ctmc mrm in
@@ -83,10 +148,7 @@ let batch_usage =
    an object {\"query\": \"...\", \"name\": \"...\"}"
 
 let parse_batch_file path =
-  let fail message =
-    Printf.eprintf "batch file %s: %s\n" path message;
-    exit 2
-  in
+  let fail message = fail "batch file %s: %s" path message in
   let text =
     if path = "-" then In_channel.input_all stdin
     else
@@ -123,744 +185,366 @@ let parse_batch_file path =
         | _ -> fail (Printf.sprintf "queries[%d]: %s" i batch_usage)
       in
       match Logic.Parser.query text with
-      | query -> (name, text, query)
+      | query -> (name, query)
       | exception Logic.Parser.Parse_error (message, pos) ->
         fail
           (Printf.sprintf "query %s: parse error at position %d: %s" name pos
              message))
     items
 
-(* Per-cache hit statistics: the context memo's layers plus the
-   process-wide Fox-Glynn window cache as a delta over the run. *)
-let cache_section memo fg_before =
-  let fg_after = Numerics.Fox_glynn.cache_counters () in
-  let entry (c : Perf.Batch.counters) =
-    let rate = Batch.hit_rate c in
-    Io.Json.Object
-      [ ("lookups", Io.Json.Number (float_of_int c.Perf.Batch.lookups));
-        ("hits", Io.Json.Number (float_of_int c.Perf.Batch.hits));
-        ("misses", Io.Json.Number (float_of_int c.Perf.Batch.misses));
-        ("hit_rate", Io.Json.Number rate) ]
-  in
-  let fg_delta =
-    { Perf.Batch.lookups =
-        fg_after.Numerics.Fox_glynn.lookups
-        - fg_before.Numerics.Fox_glynn.lookups;
-      hits =
-        fg_after.Numerics.Fox_glynn.hits
-        - fg_before.Numerics.Fox_glynn.hits;
-      misses =
-        fg_after.Numerics.Fox_glynn.misses
-        - fg_before.Numerics.Fox_glynn.misses }
-  in
-  Io.Json.Object
-    (List.map (fun (name, c) -> (name, entry c)) (Checker.memo_counters memo)
-    @ [ ("fox_glynn", entry fg_delta) ])
+(* The CLI's frontier object: the sweep's bounds, then its evaluation
+   count and staircase. *)
+let frontier_json (f : Batch.Frontier.result) =
+  Batch.Frontier.bounds_json f
+  @ [ ("evaluations",
+       Io.Json.Number (float_of_int f.Batch.Frontier.evaluations));
+      ("points", Batch.Frontier.points_json f.Batch.Frontier.points) ]
 
-let frontier_points_json points =
-  Io.Json.List
-    (List.map
-       (fun (p : Batch.Frontier.point) ->
-         Io.Json.Object
-           [ ("t", Io.Json.Number p.Batch.Frontier.t);
-             ("r", Io.Json.Number p.Batch.Frontier.r);
-             ("probability", Io.Json.Number p.Batch.Frontier.probability) ])
-       points)
+(* The cache section: the memo's layers plus the process-wide Fox-Glynn
+   window cache as a delta over the run. *)
+let cache_json memo fox_glynn_since =
+  ("cache", Batch.caches_json (Batch.cache_counters memo ~fox_glynn_since))
 
-let frontier_result_fields (f : Batch.Frontier.result) =
-  [ ("target", Io.Json.Number f.Batch.Frontier.target);
-    ("time_bound", Io.Json.Number f.Batch.Frontier.time_bound);
-    ("reward_bound", Io.Json.Number f.Batch.Frontier.reward_bound);
-    ("grid", Io.Json.Number (float_of_int f.Batch.Frontier.grid));
-    ("tolerance", Io.Json.Number f.Batch.Frontier.tolerance);
-    ("evaluations",
-     Io.Json.Number (float_of_int f.Batch.Frontier.evaluations));
-    ("points", frontier_points_json f.Batch.Frontier.points) ]
+let print_json document =
+  print_string (Io.Json.to_string (Io.Json.Object document));
+  print_newline ()
 
-let run_batch ~engine ~pool ~jobs ~telemetry ~trace ~stats ctx init path =
+(* Frontier entries run after the plain batch, sequentially, over the
+   same memo — their probes reuse (and extend) the shared caches. *)
+let run_batch ~model ~pool ?telemetry ~engine ~jobs ctx init path =
   let batch = parse_batch_file path in
   let memo = Checker.create_memo () in
   let fg_before = Numerics.Fox_glynn.cache_counters () in
   let is_frontier = function Logic.Ast.Frontier_query _ -> true | _ -> false in
-  let plain = List.filter (fun (_, _, q) -> not (is_frontier q)) batch in
+  let plain = List.filter (fun (_, q) -> not (is_frontier q)) batch in
   let verdicts =
-    try
-      Batch.run ~pool ?telemetry ~memo ctx (List.map (fun (_, _, q) -> q) plain)
-    with Checker.Unsupported message ->
-      Printf.eprintf "unsupported query in the batch: %s\n" message;
-      exit 2
+    refusing ~model (fun () ->
+        Batch.run ~pool ?telemetry ~memo ctx (List.map snd plain))
   in
-  (* Frontier entries run after the plain batch, sequentially, over the
-     same memo — their probes reuse (and extend) the shared caches. *)
-  let results =
-    let remaining = ref verdicts in
-    List.map
-      (fun (name, _, query) ->
-        let rendered = Format.asprintf "%a" Logic.Ast.pp_query query in
-        let common = [ ("name", Io.Json.String name);
-                       ("query", Io.Json.String rendered) ] in
-        if is_frontier query then begin
-          let f =
-            try Batch.Frontier.run ?telemetry ~memo ctx ~init query
-            with Checker.Unsupported message ->
-              Printf.eprintf "unsupported query in the batch: %s\n" message;
-              exit 2
-          in
-          Io.Json.Object
-            (common
-            @ (("kind", Io.Json.String "frontier") :: frontier_result_fields f))
-        end
-        else begin
-          let verdict =
-            match !remaining with
-            | v :: rest -> remaining := rest; v
-            | [] -> failwith "csrl-check: batch verdicts out of sync"
-          in
-          match verdict with
-          | Checker.Boolean mask ->
-            let indicator =
-              Linalg.Vec.init (Array.length mask) (fun s ->
-                  if mask.(s) then 1.0 else 0.0)
-            in
-            Io.Json.Object
-              (common
-              @ [ ("kind", Io.Json.String "boolean");
-                  ("initial_mass",
-                   Io.Json.Number (Linalg.Vec.dot init indicator));
-                  ("states",
-                   Io.Json.List
-                     (Array.to_list
-                        (Array.map (fun b -> Io.Json.Bool b) mask))) ])
-          | Checker.Numeric values ->
-            Io.Json.Object
-              (common
-              @ [ ("kind", Io.Json.String "numeric");
-                  ("value", Io.Json.Number (Linalg.Vec.dot init values));
-                  ("states",
-                   Io.Json.List
-                     (List.init (Linalg.Vec.length values) (fun s ->
-                          Io.Json.Number values.{s}))) ])
-          | Checker.Three_valued tris ->
-            let mass_lo, mass_hi = tri_mass init tris in
-            Io.Json.Object
-              (common
-              @ [ ("kind", Io.Json.String "three-valued");
-                  ("initial_mass_lo", Io.Json.Number mass_lo);
-                  ("initial_mass_hi", Io.Json.Number mass_hi);
-                  ("states",
-                   Io.Json.List
-                     (Array.to_list
-                        (Array.map
-                           (fun t -> Io.Json.String (Checker.tri_to_string t))
-                           tris))) ])
-          | Checker.Interval env ->
-            let lo = env.Robust.Envelope.lo and hi = env.Robust.Envelope.hi in
-            Io.Json.Object
-              (common
-              @ [ ("kind", Io.Json.String "interval");
-                  ("value_lo", Io.Json.Number (Linalg.Vec.dot init lo));
-                  ("value_hi", Io.Json.Number (Linalg.Vec.dot init hi));
-                  ("states",
-                   Io.Json.List
-                     (List.init (Linalg.Vec.length lo) (fun s ->
-                          Io.Json.List
-                            [ Io.Json.Number lo.{s}; Io.Json.Number hi.{s} ])))
-                ])
-        end)
-      batch
-  in
-  let cache_json = cache_section memo fg_before in
-  let document =
+  let remaining = ref verdicts in
+  let result (name, query) =
+    let fields =
+      if is_frontier query then
+        ("kind", Io.Json.String "frontier")
+        :: frontier_json
+             (refusing ~model (fun () ->
+                  Batch.Frontier.run ?telemetry ~memo ctx ~init query))
+      else
+        match !remaining with
+        | v :: rest ->
+          remaining := rest;
+          Batch.verdict_json ~init v
+        | [] -> failwith "csrl-check: batch verdicts out of sync"
+    in
     Io.Json.Object
-      [ ("tool", Io.Json.String "csrl-check");
-        ("mode", Io.Json.String "batch");
-        ("engine",
-         Io.Json.String (Format.asprintf "%a" Perf.Engine.pp_spec engine));
-        ("jobs", Io.Json.Number (float_of_int jobs));
-        ("queries", Io.Json.Number (float_of_int (List.length batch)));
-        ("results", Io.Json.List results);
-        ("cache", cache_json) ]
+      (("name", Io.Json.String name)
+      :: ("query", Io.Json.String (render_query query))
+      :: fields)
   in
-  print_string (Io.Json.to_string document);
-  print_newline ();
-  Option.iter
-    (fun tel ->
-      Io.Trace.record_pool_stats tel pool;
-      (match trace with
-       | None -> ()
-       | Some path ->
-         let document =
-           Io.Json.Object
-             [ ("tool", Io.Json.String "csrl-check");
-               ("mode", Io.Json.String "batch");
-               ("jobs", Io.Json.Number (float_of_int jobs));
-               ("telemetry", Io.Trace.to_json tel) ]
-         in
-         Out_channel.with_open_text path (fun oc ->
-             output_string oc (Io.Json.to_string document);
-             output_char oc '\n'));
-      if stats then Io.Trace.print_stats stdout tel)
-    telemetry
+  let results = List.map result batch in
+  print_json
+    [ ("tool", Io.Json.String "csrl-check");
+      ("mode", Io.Json.String "batch");
+      ("engine", Io.Json.String engine);
+      ("jobs", Io.Json.Number (float_of_int jobs));
+      ("queries", Io.Json.Number (float_of_int (List.length batch)));
+      ("results", Io.Json.List results);
+      cache_json memo fg_before ]
 
 (* ------------------------------------------------------------------ *)
-(* Successor-backed (.gcm) models.                                      *)
+(* Successor-backed (.gcm) models under the windowed engine: the
+   formula is checked directly on the successor function, the state
+   space explored on demand by the sliding window and never enumerated. *)
 
-(* [--engine windowed] checks the formula directly on the successor
-   function — the state space is explored on demand by the sliding
-   window, so the model is never enumerated.  Any other engine
-   materialises the reachable space (capped) into an explicit model and
-   continues through the ordinary pipeline. *)
-let run_gcm_windowed path ~w_epsilon ~trace ~stats ~list_props ~info ~lump
-    ~batch_file ~frontier_fmt formula_text =
-  let succ =
-    match Lang.Gcm.load_file path with
-    | Ok succ -> succ
-    | Error message -> prerr_endline message; exit 2
-  in
-  if info || lump || batch_file <> None || frontier_fmt <> None then begin
-    prerr_endline
+let check_symbolic ~finish ?telemetry ~epsilon ~list_props
+    ~explicit_only path succ formula_text =
+  if explicit_only then
+    fail
       "--info, --lump, --batch and --frontier need an explicit state space; \
        rerun with an explicit engine (e.g. --engine sericola) to materialise \
        the .gcm model";
-    exit 2
-  end;
   if list_props then begin
-    Printf.printf "symbolic model: %s (state space explored on demand)\n"
-      path;
+    Printf.printf "symbolic model: %s (state space explored on demand)\n" path;
     List.iter (fun p -> Printf.printf "  %s\n" p)
       succ.Explore.Succ.propositions;
-    exit 0
-  end;
-  let formula_text =
-    match formula_text with
-    | Some f -> f
-    | None ->
-      prerr_endline "no formula given (pass one, or --list-propositions)";
-      exit 2
-  in
-  let query =
-    match Logic.Parser.query formula_text with
-    | query -> query
-    | exception Logic.Parser.Parse_error (message, pos) ->
-      Printf.eprintf "parse error at position %d: %s\n" pos message;
-      exit 2
-  in
-  let telemetry =
-    if trace <> None || stats then
-      Some (Telemetry.create ~clock:monotonic_seconds ())
-    else None
-  in
-  let sym = Perf.Symbolic.create succ in
-  Format.printf "query:  %a@." Logic.Ast.pp_query query;
-  Format.printf "engine: %a@." Perf.Engine.pp_spec
-    (Perf.Engine.Windowed { epsilon = w_epsilon });
-  let print_answer (a : Perf.Symbolic.answer) =
-    Printf.printf "certified interval: [%.12g, %.12g] (delta %.3g <= epsilon %g)\n"
-      a.Perf.Symbolic.lower a.Perf.Symbolic.upper a.Perf.Symbolic.delta
-      w_epsilon;
-    match a.Perf.Symbolic.stats with
-    | Some s ->
+    0
+  end
+  else begin
+    let query =
+      match formula_text with
+      | Some text -> parse_query text
+      | None -> fail "no formula given (pass one, or --list-propositions)"
+    in
+    let sym = Perf.Symbolic.create succ in
+    let engine =
+      Format.asprintf "%a" Perf.Engine.pp_spec
+        (Perf.Engine.Windowed { epsilon })
+    in
+    Format.printf "query:  %a@." Logic.Ast.pp_query query;
+    Printf.printf "engine: %s\n" engine;
+    let print_answer (a : Perf.Symbolic.answer) =
       Printf.printf
-        "window: peak=%d expanded=%d dropped=%.3g iterations=%d restarts=%d \
-         rate=%g\n"
-        s.Explore.Windowed.peak_window s.Explore.Windowed.states_expanded
-        s.Explore.Windowed.mass_dropped s.Explore.Windowed.iterations
-        s.Explore.Windowed.restarts s.Explore.Windowed.rate
-    | None ->
-      print_endline
-        "solved via the materialised explicit model (reward bound active \
-         inside the window)"
-  in
-  let finish () =
-    Option.iter
-      (fun tel ->
-        (match trace with
-         | None -> ()
-         | Some trace_path ->
-           let document =
-             Io.Json.Object
-               [ ("tool", Io.Json.String "csrl-check");
-                 ("mode", Io.Json.String "symbolic");
-                 ("model", Io.Json.String path);
-                 ("query",
-                  Io.Json.String
-                    (Format.asprintf "%a" Logic.Ast.pp_query query));
-                 ("telemetry", Io.Trace.to_json tel) ]
-           in
-           Out_channel.with_open_text trace_path (fun oc ->
-               output_string oc (Io.Json.to_string document);
-               output_char oc '\n'));
-        if stats then Io.Trace.print_stats stdout tel)
-      telemetry
-  in
-  match Perf.Symbolic.eval ?telemetry ~epsilon:w_epsilon sym query with
-  | exception Perf.Symbolic.Unsupported reason ->
-    Printf.eprintf "unsupported on a successor-backed model: %s\n" reason;
-    exit 2
-  | exception Markov.Labeling.Unknown_proposition p ->
-    Printf.eprintf "unknown proposition %S\n" p;
-    exit 2
-  | exception Lang.Gcm.Runtime_error message ->
-    Printf.eprintf "%s: runtime error: %s\n" path message;
-    exit 2
-  | Perf.Symbolic.Numeric a ->
-    Printf.printf "value from the initial state: %.10f\n" a.Perf.Symbolic.value;
-    print_answer a;
-    finish ()
-  | Perf.Symbolic.Boolean (verdict, answer) ->
-    Printf.printf "verdict at the initial state: %s\n"
-      (if verdict then "SATISFIED" else "violated");
-    Option.iter print_answer answer;
-    finish ();
-    if not verdict then exit 1
+        "certified interval: [%.12g, %.12g] (delta %.3g <= epsilon %g)\n"
+        a.Perf.Symbolic.lower a.Perf.Symbolic.upper a.Perf.Symbolic.delta
+        epsilon;
+      match a.Perf.Symbolic.stats with
+      | Some s ->
+        Printf.printf
+          "window: peak=%d expanded=%d dropped=%.3g iterations=%d \
+           restarts=%d rate=%g\n"
+          s.Explore.Windowed.peak_window s.Explore.Windowed.states_expanded
+          s.Explore.Windowed.mass_dropped s.Explore.Windowed.iterations
+          s.Explore.Windowed.restarts s.Explore.Windowed.rate
+      | None ->
+        print_endline
+          "solved via the materialised explicit model (reward bound active \
+           inside the window)"
+    in
+    let code =
+      match
+        refusing ~model:path (fun () ->
+            Perf.Symbolic.eval ?telemetry ~epsilon sym query)
+      with
+      | Perf.Symbolic.Numeric a ->
+        Printf.printf "value from the initial state: %.10f\n"
+          a.Perf.Symbolic.value;
+        print_answer a;
+        0
+      | Perf.Symbolic.Boolean (verdict, answer) ->
+        Printf.printf "verdict at the initial state: %s\n"
+          (if verdict then "SATISFIED" else "violated");
+        Option.iter print_answer answer;
+        if verdict then 0 else 1
+    in
+    finish
+      [ ("mode", Io.Json.String "symbolic");
+        ("engine", Io.Json.String engine);
+        ("model", Io.Json.String path);
+        ("query", Io.Json.String (render_query query)) ];
+    code
+  end
 
-let materialise_gcm path =
-  let succ =
-    match Lang.Gcm.load_file path with
-    | Ok succ -> succ
-    | Error message -> prerr_endline message; exit 2
-  in
+(* Any other engine checks a .gcm program through its materialised
+   (capped) explicit twin. *)
+let materialise path succ =
   match Explore.Materialise.materialise (Explore.Space.create succ) with
-  | Error n ->
-    Printf.eprintf
-      "%s: more than %d reachable states; explicit engines cannot \
-       materialise it — use --engine windowed\n"
-      path n;
-    exit 2
-  | exception Lang.Gcm.Runtime_error message ->
-    Printf.eprintf "%s: runtime error: %s\n" path message;
-    exit 2
   | Ok (mrm, labeling, init_id) ->
     (mrm, labeling, Linalg.Vec.unit (Markov.Mrm.n_states mrm) init_id)
+  | Error n ->
+    fail
+      "%s: more than %d reachable states; explicit engines cannot \
+       materialise it — use --engine windowed"
+      path n
 
 (* ------------------------------------------------------------------ *)
-(* Robust mode: interval-valued models, three-valued verdicts.         *)
-
-let run_robust ~engine_text ~epsilon ~jobs ~trace ~stats ~list_props ~lump
-    ~info ~no_reduce ~batch_file ~frontier_fmt imrm labeling init
-    formula_text =
-  if lump || info || frontier_fmt <> None then begin
-    prerr_endline
-      "--lump, --info and --frontier need a point-valued model; interval \
-       models answer P queries, state formulas and --batch";
-    exit 2
-  end;
-  if list_props then begin
-    Printf.printf "interval model: %d states, %d rate intervals, max width %g\n"
-      (Robust.Imrm.n_states imrm)
-      (Robust.Imrm.n_transitions imrm)
-      (Robust.Imrm.max_width imrm);
-    List.iter
-      (fun p ->
-        let mask = Markov.Labeling.sat labeling p in
-        let count =
-          Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask
-        in
-        Printf.printf "  %-24s (%d states)\n" p count)
-      (Markov.Labeling.propositions labeling);
-    exit 0
-  end;
-  let formula_text =
-    match batch_file, formula_text with
-    | None, Some f -> Some f
-    | None, None ->
-      prerr_endline
-        "no formula given (pass one, or --batch FILE, or --list-propositions)";
-      exit 2
-    | Some _, Some _ ->
-      prerr_endline "--batch cannot be combined with a positional formula";
-      exit 2
-    | Some _, None -> None
-  in
-  let engine =
-    match Perf.Engine.of_string engine_text with
-    | Ok e -> e
-    | Error message -> prerr_endline message; exit 2
-  in
-  let engine_label =
-    Format.asprintf "robust-envelope over %a" Perf.Engine.pp_spec engine
-  in
-  let telemetry =
-    if trace <> None || stats then
-      Some (Telemetry.create ~clock:monotonic_seconds ())
-    else None
-  in
-  let reduction =
-    if no_reduce then Perf.Reduction.none else Perf.Reduction.default
-  in
-  Parallel.Pool.with_pool ~jobs @@ fun pool ->
-  (if trace <> None then
-     Option.iter
-       (fun tel -> Parallel.Pool.instrument pool (Telemetry.clock tel))
-       telemetry);
-  let ctx =
-    Checker.make_robust ~engine ~epsilon ~pool ?telemetry ~reduction imrm
-      labeling
-  in
-  match batch_file with
-  | Some path ->
-    run_batch ~engine ~pool ~jobs ~telemetry ~trace ~stats ctx init path
-  | None ->
-  let formula_text = Option.get formula_text in
-  match Logic.Parser.query formula_text with
-  | exception Logic.Parser.Parse_error (message, pos) ->
-    Printf.eprintf "parse error at position %d: %s\n" pos message;
-    exit 2
-  | query -> begin
-      Format.printf "query:  %a@." Logic.Ast.pp_query query;
-      Printf.printf "engine: %s\n" engine_label;
-      Printf.printf "model:  %d states, %d rate intervals, max width %g\n"
-        (Robust.Imrm.n_states imrm)
-        (Robust.Imrm.n_transitions imrm)
-        (Robust.Imrm.max_width imrm);
-      let finish () =
-        Option.iter
-          (fun tel ->
-            Io.Trace.record_pool_stats tel pool;
-            (match trace with
-             | None -> ()
-             | Some path ->
-               let document =
-                 Io.Json.Object
-                   [ ("tool", Io.Json.String "csrl-check");
-                     ("query",
-                      Io.Json.String
-                        (Format.asprintf "%a" Logic.Ast.pp_query query));
-                     ("engine", Io.Json.String engine_label);
-                     ("jobs", Io.Json.Number (float_of_int jobs));
-                     ("telemetry", Io.Trace.to_json tel) ]
-               in
-               Out_channel.with_open_text path (fun oc ->
-                   output_string oc (Io.Json.to_string document);
-                   output_char oc '\n'));
-            if stats then Io.Trace.print_stats stdout tel)
-          telemetry
-      in
-      match Checker.eval_query ctx query with
-      | exception Checker.Unsupported message ->
-        Printf.eprintf "unsupported on an interval model: %s\n" message;
-        exit 2
-      | Checker.Three_valued tris ->
-        print_states labeling (`Tri tris);
-        let mass_lo, mass_hi = tri_mass init tris in
-        Printf.printf
-          "initial distribution satisfies the formula with mass in [%g, %g]\n"
-          mass_lo mass_hi;
-        finish ();
-        if mass_hi < 1.0 then exit 1 else if mass_lo < 1.0 then exit 3
-      | Checker.Interval env ->
-        print_states labeling (`Bounds env);
-        Printf.printf "value from the initial distribution: [%.10f, %.10f]\n"
-          (Linalg.Vec.dot init env.Robust.Envelope.lo)
-          (Linalg.Vec.dot init env.Robust.Envelope.hi);
-        finish ()
-      | Checker.Boolean _ | Checker.Numeric _ -> assert false
-    end
+(* One checking path for every model kind: resolve the source, then
+   check a point-valued or interval model through the Checker (a .gcm
+   program is materialised first), or a program under the windowed
+   engine through Perf.Symbolic.                                        *)
 
 let run model_name file engine_text epsilon jobs trace stats list_props info
     lump no_reduce batch_file frontier_fmt rate_drift imrm_file formula_text =
   let jobs =
     match jobs with
     | Some j when j >= 1 -> j
-    | Some _ -> prerr_endline "--jobs needs a positive count"; exit 2
+    | Some _ -> fail "--jobs needs a positive count"
     | None -> 1
   in
-  if not (epsilon > 0.0 && epsilon < 1.0) then begin
-    prerr_endline "--epsilon needs a value in (0,1)";
-    exit 2
-  end;
-  let gcm_path =
-    match file with
-    | Some path when Filename.check_suffix path ".gcm" -> Some path
-    | Some _ -> None
-    | None ->
-      if Filename.check_suffix model_name ".gcm" then Some model_name else None
-  in
+  if not (epsilon > 0.0 && epsilon < 1.0) then
+    fail "--epsilon needs a value in (0,1)";
   (match rate_drift with
    | Some pct when not (pct >= 0.0 && pct < 100.0) ->
-     prerr_endline "--rate-drift needs a percentage in [0, 100)";
-     exit 2
+     fail "--rate-drift needs a percentage in [0, 100)"
    | _ -> ());
-  if imrm_file <> None && (file <> None || rate_drift <> None) then begin
-    prerr_endline "--imrm cannot be combined with --file or --rate-drift";
-    exit 2
-  end;
-  if gcm_path <> None && (rate_drift <> None || imrm_file <> None) then begin
-    prerr_endline
-      ".gcm models cannot be widened into interval models; use --imrm with \
-       an explicit interval model instead";
-    exit 2
-  end;
-  (match gcm_path with
-   | Some path -> begin
-       match Perf.Engine.of_string engine_text with
-       | Ok (Perf.Engine.Windowed { epsilon = e }) ->
-         (* [windowed:eps] wins over --epsilon; bare [windowed] (parsed
-            at the 1e-9 default) honours --epsilon. *)
-         let w_epsilon =
-           if String.contains engine_text ':' then e else epsilon
-         in
-         run_gcm_windowed path ~w_epsilon ~trace ~stats ~list_props ~info
-           ~lump ~batch_file ~frontier_fmt formula_text;
-         exit 0
-       | Ok _ | Error _ -> ()
-     end
-   | None -> ());
+  if imrm_file <> None && (file <> None || rate_drift <> None) then
+    fail "--imrm cannot be combined with --file or --rate-drift";
   (match frontier_fmt with
-   | None | Some "json" | Some "csv" -> ()
-   | Some other ->
-     Printf.eprintf "--frontier needs \"json\" or \"csv\", not %S\n" other;
-     exit 2);
-  if frontier_fmt <> None && batch_file <> None then begin
-    prerr_endline "--frontier cannot be combined with --batch";
-    exit 2
-  end;
-  let robust_doc =
-    match imrm_file with
-    | Some path -> begin
-        match Robust.Imrm_io.parse_file path with
-        | doc ->
-          Some
-            (doc.Robust.Imrm_io.imrm, doc.Robust.Imrm_io.labeling,
-             doc.Robust.Imrm_io.init)
-        | exception Robust.Imrm_io.Format_error message ->
-          Printf.eprintf "interval model %s: %s\n" path message;
-          exit 2
-        | exception Sys_error message -> prerr_endline message; exit 2
-      end
-    | None ->
-      if file <> None || gcm_path <> None then None
-      else begin
-        match Models.Builtin.load_robust model_name with
-        | Some triple ->
-          if rate_drift <> None then begin
-            prerr_endline
-              "--rate-drift cannot be combined with a -drift model name";
-            exit 2
-          end;
-          Some triple
-        | None -> None
-        | exception Invalid_argument message ->
-          Printf.eprintf "cannot widen %s: %s\n" model_name message;
-          exit 2
-      end
-  in
-  match robust_doc with
-  | Some (imrm, labeling, init) ->
-    run_robust ~engine_text ~epsilon ~jobs ~trace ~stats ~list_props ~lump
-      ~info ~no_reduce ~batch_file ~frontier_fmt imrm labeling init
-      formula_text
-  | None ->
-  let document =
-    match gcm_path, file, model_name with
-    | Some path, _, _ -> materialise_gcm path
-    | None, Some path, _ ->
-      let doc = Io.Mrm_format.parse_file path in
-      (doc.Io.Mrm_format.mrm, doc.Io.Mrm_format.labeling, doc.Io.Mrm_format.init)
-    | None, None, name -> begin
-        match Models.Builtin.load name with
-        | Some triple -> triple
-        | None ->
-          prerr_endline
-            (Printf.sprintf "unknown model %S; built-in models:" name);
-          List.iter
-            (fun (n, d) -> prerr_endline (Printf.sprintf "  %-16s %s" n d))
-            Models.Builtin.all;
-          prerr_endline "interval variants:";
-          List.iter
-            (fun (n, d) -> prerr_endline (Printf.sprintf "  %-16s %s" n d))
-            Models.Builtin.all_robust;
-          exit 2
-      end
-  in
-  let mrm, labeling, init = document in
-  match rate_drift with
-  | Some pct -> begin
-      match Robust.Imrm.of_mrm ~rate_drift:(pct /. 100.0) mrm with
-      | imrm ->
-        run_robust ~engine_text ~epsilon ~jobs ~trace ~stats ~list_props
-          ~lump ~info ~no_reduce ~batch_file ~frontier_fmt imrm labeling init
-          formula_text
-      | exception Invalid_argument message ->
-        Printf.eprintf "--rate-drift: %s\n" message;
-        exit 2
-    end
-  | None ->
-  let mrm, labeling, init =
-    if lump then begin
-      let l = Markov.Lumping.compute mrm labeling in
-      Printf.printf "lumped: %d states -> %d blocks\n"
-        (Array.length l.Markov.Lumping.block_of_state)
-        l.Markov.Lumping.n_blocks;
-      (l.Markov.Lumping.quotient, l.Markov.Lumping.labeling,
-       Markov.Lumping.lift l init)
-    end
-    else (mrm, labeling, init)
-  in
-  if info then begin
-    print_info mrm labeling init;
-    exit 0
-  end;
-  if list_props then begin
-    Printf.printf "model: %d states, %d transitions\n" (Markov.Mrm.n_states mrm)
-      (Linalg.Csr.nnz (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm)));
-    List.iter
-      (fun p ->
-        let mask = Markov.Labeling.sat labeling p in
-        let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask in
-        Printf.printf "  %-24s (%d states)\n" p count)
-      (Markov.Labeling.propositions labeling);
-    exit 0
-  end;
-  let formula_text =
-    match batch_file, formula_text with
-    | None, Some f -> Some f
-    | None, None ->
-      prerr_endline
-        "no formula given (pass one, or --batch FILE, or --list-propositions)";
-      exit 2
-    | Some _, Some _ ->
-      prerr_endline "--batch cannot be combined with a positional formula";
-      exit 2
-    | Some _, None -> None
-  in
+   | None | Some ("json" | "csv") -> ()
+   | Some other -> fail "--frontier needs \"json\" or \"csv\", not %S" other);
+  if frontier_fmt <> None && batch_file <> None then
+    fail "--frontier cannot be combined with --batch";
+  if batch_file <> None && formula_text <> None then
+    fail "--batch cannot be combined with a positional formula";
   let engine =
     match Perf.Engine.of_string engine_text with
     | Ok e -> e
-    | Error message -> prerr_endline message; exit 2
+    | Error message -> fail "%s" message
   in
+  let file =
+    match file with
+    | None when Filename.check_suffix model_name ".gcm" -> Some model_name
+    | f -> f
+  in
+  let source =
+    match
+      Models.Source.resolve ?file ?drift:rate_drift ?imrm:imrm_file model_name
+    with
+    | Ok source -> source
+    | Error (Models.Source.Unknown_model name) -> unknown_model name
+    | Error (Models.Source.Invalid message) -> fail "%s" message
+  in
+  let label = Option.value file ~default:model_name in
   let telemetry =
     if trace <> None || stats then
       Some (Telemetry.create ~clock:monotonic_seconds ())
     else None
   in
-  let reduction =
-    if no_reduce then Perf.Reduction.none else Perf.Reduction.default
-  in
-  Parallel.Pool.with_pool ~jobs @@ fun pool ->
-  (* Busy-time accounting costs two clock reads per chunk, so it is only
-     switched on for --trace, keeping --stats output deterministic. *)
-  (if trace <> None then
-     Option.iter
-       (fun tel -> Parallel.Pool.instrument pool (Telemetry.clock tel))
-       telemetry);
-  let ctx =
-    Checker.make ~engine ~epsilon ~pool ?telemetry ~reduction mrm labeling
-  in
-  match batch_file with
-  | Some path ->
-    run_batch ~engine ~pool ~jobs ~telemetry ~trace ~stats ctx init path
-  | None ->
-  let formula_text = Option.get formula_text in
-  match Logic.Parser.query formula_text with
-  | exception Logic.Parser.Parse_error (message, pos) ->
-    Printf.eprintf "parse error at position %d: %s\n" pos message;
-    exit 2
-  | Logic.Ast.Frontier_query _ as query ->
-    let fmt = Option.value frontier_fmt ~default:"json" in
-    let memo = Checker.create_memo () in
-    let fg_before = Numerics.Fox_glynn.cache_counters () in
-    let f = Batch.Frontier.run ?telemetry ~memo ctx ~init query in
-    (match fmt with
-     | "csv" ->
-       let row (p : Batch.Frontier.point) =
-         [ Printf.sprintf "%.17g" p.Batch.Frontier.t;
-           Printf.sprintf "%.17g" p.Batch.Frontier.r;
-           Printf.sprintf "%.17g" p.Batch.Frontier.probability ]
-       in
-       print_string
-         (Io.Csv.render ~header:[ "t"; "r"; "probability" ]
-            (List.map row f.Batch.Frontier.points))
-     | _ ->
-       let document =
-         Io.Json.Object
-           ([ ("tool", Io.Json.String "csrl-check");
-              ("mode", Io.Json.String "frontier");
-              ("engine",
-               Io.Json.String (Format.asprintf "%a" Perf.Engine.pp_spec engine));
-              ("jobs", Io.Json.Number (float_of_int jobs));
-              ("query",
-               Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query query))
-            ]
-           @ frontier_result_fields f
-           @ [ ("cache", cache_section memo fg_before) ])
-       in
-       print_string (Io.Json.to_string document);
-       print_newline ());
+  (* After the answer: the pool's gauges, the --trace document and the
+     --stats dump. *)
+  let finish ?pool fields =
     Option.iter
       (fun tel ->
-        Io.Trace.record_pool_stats tel pool;
-        (match trace with
-         | None -> ()
-         | Some path ->
-           let document =
-             Io.Json.Object
-               [ ("tool", Io.Json.String "csrl-check");
-                 ("mode", Io.Json.String "frontier");
-                 ("query",
-                  Io.Json.String
-                    (Format.asprintf "%a" Logic.Ast.pp_query query));
-                 ("jobs", Io.Json.Number (float_of_int jobs));
-                 ("telemetry", Io.Trace.to_json tel) ]
-           in
-           Out_channel.with_open_text path (fun oc ->
-               output_string oc (Io.Json.to_string document);
-               output_char oc '\n'));
+        Option.iter (Io.Trace.record_pool_stats tel) pool;
+        Option.iter
+          (fun path ->
+            let document =
+              Io.Json.Object
+                ((("tool", Io.Json.String "csrl-check") :: fields)
+                @ [ ("jobs", Io.Json.Number (float_of_int jobs));
+                    ("telemetry", Io.Trace.to_json tel) ])
+            in
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Io.Json.to_string document);
+                output_char oc '\n'))
+          trace;
         if stats then Io.Trace.print_stats stdout tel)
       telemetry
-  | _ when frontier_fmt <> None ->
-    prerr_endline
-      "--frontier needs a frontier query, e.g. 'frontier[20] P>=0.5 ( a \
-       U[t<=10][r<=50] b )'";
-    exit 2
-  | query -> begin
-      Format.printf "query:  %a@." Logic.Ast.pp_query query;
-      Format.printf "engine: %a@." Perf.Engine.pp_spec engine;
-      let finish () =
-        Option.iter
-          (fun tel ->
-            Io.Trace.record_pool_stats tel pool;
-            (match trace with
-             | None -> ()
-             | Some path ->
-               let document =
-                 Io.Json.Object
-                   [ ("tool", Io.Json.String "csrl-check");
-                     ("query",
-                      Io.Json.String
-                        (Format.asprintf "%a" Logic.Ast.pp_query query));
-                     ("engine",
-                      Io.Json.String
-                        (Format.asprintf "%a" Perf.Engine.pp_spec engine));
-                     ("jobs", Io.Json.Number (float_of_int jobs));
-                     ("telemetry", Io.Trace.to_json tel) ]
-               in
-               Out_channel.with_open_text path (fun oc ->
-                   output_string oc (Io.Json.to_string document);
-                   output_char oc '\n'));
-            if stats then Io.Trace.print_stats stdout tel)
-          telemetry
-      in
-      match Checker.eval_query ctx query with
-      | Checker.Boolean mask ->
-        print_states labeling (`Mask mask);
-        let p =
-          Linalg.Vec.dot init
-            (Linalg.Vec.init (Array.length mask) (fun s ->
-                 if mask.(s) then 1.0 else 0.0))
-        in
-        Printf.printf "initial distribution satisfies the formula with mass %g\n" p;
-        finish ();
-        if p < 1.0 then exit 1
-      | Checker.Numeric probs ->
-        print_states labeling (`Probs probs);
-        Printf.printf "value from the initial distribution: %.10f\n"
-          (Linalg.Vec.dot init probs);
-        finish ()
-      | Checker.Three_valued _ | Checker.Interval _ ->
-        (* Precise contexts never answer robust verdicts. *)
-        assert false
+  in
+  let spec = Format.asprintf "%a" Perf.Engine.pp_spec engine in
+  let check model labeling init =
+    if list_props then begin
+      (match model with
+       | `Point mrm ->
+         Printf.printf "model: %d states, %d transitions\n"
+           (Markov.Mrm.n_states mrm)
+           (Linalg.Csr.nnz (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm)))
+       | `Interval imrm ->
+         Printf.printf "interval model: %s\n" (interval_shape imrm));
+      print_propositions labeling;
+      0
     end
+    else begin
+      let reduction =
+        if no_reduce then Perf.Reduction.none else Perf.Reduction.default
+      in
+      Parallel.Pool.with_pool ~jobs @@ fun pool ->
+      (* Busy-time accounting costs two clock reads per chunk, so it is
+         only switched on for --trace, keeping --stats output
+         deterministic. *)
+      (if trace <> None then
+         Option.iter
+           (fun tel -> Parallel.Pool.instrument pool (Telemetry.clock tel))
+           telemetry);
+      let ctx, engine_label =
+        match model with
+        | `Point mrm ->
+          (Checker.make ~engine ~epsilon ~pool ?telemetry ~reduction mrm
+             labeling, spec)
+        | `Interval imrm ->
+          (Checker.make_robust ~engine ~epsilon ~pool ?telemetry ~reduction
+             imrm labeling, "robust-envelope over " ^ spec)
+      in
+      let finish_as mode fields =
+        finish ~pool
+          (("mode", Io.Json.String mode)
+          :: ("engine", Io.Json.String engine_label) :: fields)
+      in
+      match batch_file, Option.map parse_query formula_text with
+      | Some path, _ ->
+        run_batch ~model:label ~pool ?telemetry ~engine:spec ~jobs ctx init
+          path;
+        finish_as "batch" [];
+        0
+      | None, None ->
+        fail
+          "no formula given (pass one, or --batch FILE, or \
+           --list-propositions)"
+      | None, Some (Logic.Ast.Frontier_query _ as query) ->
+        let memo = Checker.create_memo () in
+        let fg_before = Numerics.Fox_glynn.cache_counters () in
+        let f =
+          refusing ~model:label (fun () ->
+              Batch.Frontier.run ?telemetry ~memo ctx ~init query)
+        in
+        (match frontier_fmt with
+         | Some "csv" ->
+           let row (p : Batch.Frontier.point) =
+             List.map (Printf.sprintf "%.17g")
+               [ p.Batch.Frontier.t; p.Batch.Frontier.r;
+                 p.Batch.Frontier.probability ]
+           in
+           print_string
+             (Io.Csv.render ~header:[ "t"; "r"; "probability" ]
+                (List.map row f.Batch.Frontier.points))
+         | _ ->
+           print_json
+             ([ ("tool", Io.Json.String "csrl-check");
+                ("mode", Io.Json.String "frontier");
+                ("engine", Io.Json.String spec);
+                ("jobs", Io.Json.Number (float_of_int jobs));
+                ("query", Io.Json.String (render_query query)) ]
+             @ frontier_json f
+             @ [ cache_json memo fg_before ]));
+        finish_as "frontier" [ ("query", Io.Json.String (render_query query)) ];
+        0
+      | None, Some _ when frontier_fmt <> None ->
+        fail
+          "--frontier needs a frontier query, e.g. 'frontier[20] P>=0.5 ( a \
+           U[t<=10][r<=50] b )'"
+      | None, Some query ->
+        Format.printf "query:  %a@." Logic.Ast.pp_query query;
+        Printf.printf "engine: %s\n" engine_label;
+        (match model with
+         | `Point _ -> ()
+         | `Interval imrm ->
+           Printf.printf "model:  %s\n" (interval_shape imrm));
+        let verdict =
+          refusing ~model:label (fun () -> Checker.eval_query ctx query)
+        in
+        let code = print_verdict labeling init verdict in
+        finish_as "check" [ ("query", Io.Json.String (render_query query)) ];
+        code
+    end
+  in
+  let explicit (mrm, labeling, init) =
+    let mrm, labeling, init =
+      if lump then begin
+        let l = Markov.Lumping.compute mrm labeling in
+        Printf.printf "lumped: %d states -> %d blocks\n"
+          (Array.length l.Markov.Lumping.block_of_state)
+          l.Markov.Lumping.n_blocks;
+        (l.Markov.Lumping.quotient, l.Markov.Lumping.labeling,
+         Markov.Lumping.lift l init)
+      end
+      else (mrm, labeling, init)
+    in
+    if info then begin
+      print_info mrm labeling init;
+      0
+    end
+    else check (`Point mrm) labeling init
+  in
+  match source, engine with
+  | Models.Source.Program { path; succ }, Perf.Engine.Windowed { epsilon = e }
+    ->
+    (* [windowed:eps] wins over --epsilon; bare [windowed] (parsed at the
+       1e-9 default) honours --epsilon. *)
+    let epsilon = if String.contains engine_text ':' then e else epsilon in
+    check_symbolic ~finish:(fun fields -> finish fields) ?telemetry
+      ~epsilon ~list_props
+      ~explicit_only:
+        (info || lump || batch_file <> None || frontier_fmt <> None)
+      path succ formula_text
+  | Models.Source.Program { path; succ }, _ ->
+    explicit (refusing ~model:label (fun () -> materialise path succ))
+  | Models.Source.Explicit { mrm; labeling; init }, _ ->
+    explicit (mrm, labeling, init)
+  | Models.Source.Interval { imrm; labeling; init }, _ ->
+    if lump || info || frontier_fmt <> None then
+      fail
+        "--lump, --info and --frontier need a point-valued model; interval \
+         models answer P queries, state formulas and --batch";
+    check (`Interval imrm) labeling init
 
 open Cmdliner
 
@@ -1023,4 +707,4 @@ let cmd =
       $ no_reduce_arg $ batch_arg $ frontier_arg $ rate_drift_arg $ imrm_arg
       $ formula_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

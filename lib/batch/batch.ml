@@ -1,14 +1,77 @@
-let hit_rate (c : Perf.Batch.counters) =
-  if c.Perf.Batch.lookups = 0 then 0.0
-  else float_of_int c.Perf.Batch.hits /. float_of_int c.Perf.Batch.lookups
-
-let record_counters telemetry name (c : Perf.Batch.counters) =
+let record_counters telemetry name (c : Numerics.Memo.counters) =
   Telemetry.add telemetry (Printf.sprintf "batch.%s.lookups" name)
-    c.Perf.Batch.lookups;
+    c.Numerics.Memo.lookups;
   Telemetry.add telemetry (Printf.sprintf "batch.%s.hits" name)
-    c.Perf.Batch.hits;
+    c.Numerics.Memo.hits;
   Telemetry.add telemetry (Printf.sprintf "batch.%s.misses" name)
-    c.Perf.Batch.misses
+    c.Numerics.Memo.misses
+
+let cache_counters memo ~fox_glynn_since =
+  Checker.memo_counters memo
+  @ [ ("fox_glynn",
+       Numerics.Memo.diff (Numerics.Fox_glynn.cache_counters ())
+         fox_glynn_since) ]
+
+let counters_json (c : Numerics.Memo.counters) =
+  Io.Json.Object
+    [ ("lookups", Io.Json.Number (float_of_int c.Numerics.Memo.lookups));
+      ("hits", Io.Json.Number (float_of_int c.Numerics.Memo.hits));
+      ("misses", Io.Json.Number (float_of_int c.Numerics.Memo.misses));
+      ("hit_rate", Io.Json.Number (Numerics.Memo.hit_rate c)) ]
+
+let caches_json caches =
+  Io.Json.Object (List.map (fun (name, c) -> (name, counters_json c)) caches)
+
+let initial_value ~init verdict =
+  let mass n keep =
+    Linalg.Vec.dot init
+      (Linalg.Vec.init n (fun s -> if keep s then 1.0 else 0.0))
+  in
+  match verdict with
+  | Checker.Boolean mask ->
+    let m = mass (Array.length mask) (fun s -> mask.(s)) in
+    (m, m)
+  | Checker.Numeric values ->
+    let v = Linalg.Vec.dot init values in
+    (v, v)
+  | Checker.Three_valued tris ->
+    let n = Array.length tris in
+    ( mass n (fun s -> tris.(s) = Checker.Holds),
+      mass n (fun s -> tris.(s) <> Checker.Fails) )
+  | Checker.Interval env ->
+    ( Linalg.Vec.dot init env.Robust.Envelope.lo,
+      Linalg.Vec.dot init env.Robust.Envelope.hi )
+
+let verdict_json ~init verdict =
+  let lo, hi = initial_value ~init verdict in
+  let states n f = Io.Json.List (List.init n f) in
+  match verdict with
+  | Checker.Boolean mask ->
+    [ ("kind", Io.Json.String "boolean");
+      ("initial_mass", Io.Json.Number lo);
+      ("states", states (Array.length mask) (fun s -> Io.Json.Bool mask.(s)))
+    ]
+  | Checker.Numeric values ->
+    [ ("kind", Io.Json.String "numeric");
+      ("value", Io.Json.Number lo);
+      ("states",
+       states (Linalg.Vec.length values) (fun s -> Io.Json.Number values.{s}))
+    ]
+  | Checker.Three_valued tris ->
+    [ ("kind", Io.Json.String "three-valued");
+      ("initial_mass_lo", Io.Json.Number lo);
+      ("initial_mass_hi", Io.Json.Number hi);
+      ("states",
+       states (Array.length tris) (fun s ->
+           Io.Json.String (Checker.tri_to_string tris.(s)))) ]
+  | Checker.Interval { Robust.Envelope.lo = lower; hi = upper } ->
+    [ ("kind", Io.Json.String "interval");
+      ("value_lo", Io.Json.Number lo);
+      ("value_hi", Io.Json.Number hi);
+      ("states",
+       states (Linalg.Vec.length lower) (fun s ->
+           Io.Json.List [ Io.Json.Number lower.{s}; Io.Json.Number upper.{s} ]))
+    ]
 
 let run ?(pool = Parallel.Pool.sequential) ?telemetry ?memo ctx queries =
   let memo = match memo with Some m -> m | None -> Checker.create_memo () in
@@ -48,18 +111,7 @@ let run ?(pool = Parallel.Pool.sequential) ?telemetry ?memo ctx queries =
      Telemetry.add telemetry "batch.queries" n;
      List.iter
        (fun (name, c) -> record_counters telemetry name c)
-       (Checker.memo_counters memo);
-     let fg_after = Numerics.Fox_glynn.cache_counters () in
-     record_counters telemetry "fox_glynn"
-       { Perf.Batch.lookups =
-           fg_after.Numerics.Fox_glynn.lookups
-           - fg_before.Numerics.Fox_glynn.lookups;
-         hits =
-           fg_after.Numerics.Fox_glynn.hits
-           - fg_before.Numerics.Fox_glynn.hits;
-         misses =
-           fg_after.Numerics.Fox_glynn.misses
-           - fg_before.Numerics.Fox_glynn.misses });
+       (cache_counters memo ~fox_glynn_since:fg_before));
   Array.to_list
     (Array.map
        (function
@@ -84,6 +136,23 @@ module Frontier = struct
     evaluations : int;
   }
 
+  let bounds_json f =
+    [ ("target", Io.Json.Number f.target);
+      ("time_bound", Io.Json.Number f.time_bound);
+      ("reward_bound", Io.Json.Number f.reward_bound);
+      ("grid", Io.Json.Number (float_of_int f.grid));
+      ("tolerance", Io.Json.Number f.tolerance) ]
+
+  let points_json points =
+    Io.Json.List
+      (List.map
+         (fun p ->
+           Io.Json.Object
+             [ ("t", Io.Json.Number p.t);
+               ("r", Io.Json.Number p.r);
+               ("probability", Io.Json.Number p.probability) ])
+         points)
+
   let run ?telemetry ?memo ?(tolerance = 1e-6) ctx ~init query =
     match (query : Logic.Ast.query) with
     | Logic.Ast.Frontier_query
@@ -104,8 +173,8 @@ module Frontier = struct
       if Checker.is_robust ctx then
         raise
           (Checker.Unsupported
-             "frontier sweeps need point probabilities; evaluate the \
-              interval model's envelopes with ordinary P queries instead");
+             "frontier sweeps need point probabilities; check the interval \
+              model's envelopes with P queries instead");
       (* Every probe is an ordinary single-query solve on the caller's
          context with the shared memo, so each emitted point is
          bit-identical to what a cold solve of the same (t, r) returns —

@@ -50,8 +50,36 @@ val run :
     [Markov.Labeling.Unknown_proposition], ...) propagate to the
     caller after in-flight queries finish. *)
 
-val hit_rate : Perf.Batch.counters -> float
-(** [hits / lookups], or [0.] when the cache was never consulted. *)
+val cache_counters :
+  Checker.memo -> fox_glynn_since:Numerics.Memo.counters ->
+  (string * Numerics.Memo.counters) list
+(** {!Checker.memo_counters} plus the process-wide [fox_glynn] window
+    cache as the delta since the snapshot [fox_glynn_since] (a
+    {!Numerics.Fox_glynn.cache_counters} taken before the run). *)
+
+(** {1 JSON renderings}
+
+    One rendering of verdicts, cache statistics and frontier results,
+    shared by [csrl-check --batch/--frontier], the serving daemon and
+    the bench driver, so their documents agree string for string. *)
+
+val initial_value : init:Linalg.Vec.t -> Checker.verdict -> float * float
+(** The verdict seen from the initial distribution [init]: the
+    satisfying mass of a boolean verdict, the value of a numeric one
+    (both as [(v, v)]), the certain and possible satisfying masses of a
+    three-valued verdict, and the envelope of an interval verdict. *)
+
+val verdict_json :
+  init:Linalg.Vec.t -> Checker.verdict -> (string * Io.Json.t) list
+(** The fields of a result object: ["kind"] ([boolean], [numeric],
+    [three-valued] or [interval]), the {!initial_value} under the kind's
+    names, and the per-state ["states"] list. *)
+
+val counters_json : Numerics.Memo.counters -> Io.Json.t
+(** [{"lookups", "hits", "misses", "hit_rate"}]. *)
+
+val caches_json : (string * Numerics.Memo.counters) list -> Io.Json.t
+(** One {!counters_json} object per named cache, in list order. *)
 
 (** Frontier sweeps driven through the warm checking context.
 
@@ -80,6 +108,13 @@ module Frontier : sig
     evaluations : int;     (** until solves performed across the sweep *)
   }
 
+  val bounds_json : result -> (string * Io.Json.t) list
+  (** ["target"], ["time_bound"], ["reward_bound"], ["grid"] and
+      ["tolerance"]. *)
+
+  val points_json : point list -> Io.Json.t
+  (** The staircase as a list of [{"t", "r", "probability"}] objects. *)
+
   val run :
     ?telemetry:Telemetry.t -> ?memo:Checker.memo -> ?tolerance:float ->
     Checker.t -> init:Linalg.Vec.t -> Logic.Ast.query -> result
@@ -87,7 +122,9 @@ module Frontier : sig
       the initial distribution [init] (each probe is the probability
       vector dotted with [init]).  [tolerance] defaults to [1e-6].
       Records [frontier.grid] / [frontier.points] /
-      [frontier.evaluations] on [telemetry].  Raises [Invalid_argument]
+      [frontier.evaluations] on [telemetry].  Raises
+      {!Checker.Unsupported} on a robust context (a sweep needs point
+      probabilities), and [Invalid_argument]
       on any other query form or when the until's bounds are not finite
       downward-closed intervals (the parser's [frontier] production
       guarantees both). *)

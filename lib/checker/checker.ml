@@ -1,18 +1,12 @@
-(* A robust context carries the interval model and the envelope engine
-   instance next to the precise fields; [mrm] is then the point model
-   (zero width) or the interval midpoints, used only for state counts
-   and display — the precise entry points are guarded. *)
-type robust = {
-  imrm : Robust.Imrm.t;
-  renv : (Robust.Engine.problem, Robust.Envelope.result) Perf.Engine_intf.t;
-}
-
+(* A robust context carries the interval model next to the precise
+   fields; [mrm] is then the point model (zero width) or the interval
+   midpoints, used only for state counts and display — the precise
+   entry points are guarded. *)
 type t = {
   mrm : Markov.Mrm.t;
   labeling : Markov.Labeling.t;
   engine : Perf.Engine.spec;
-  instance : (Perf.Problem.t, float) Perf.Engine_intf.t;
-  robust : robust option;
+  imrm : Robust.Imrm.t option;
   epsilon : float;
   pool : Parallel.Pool.t;
   telemetry : Telemetry.t option;
@@ -27,8 +21,8 @@ let make ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     ?(reduction = Perf.Reduction.default) ?cancel mrm labeling =
   if Markov.Labeling.n_states labeling <> Markov.Mrm.n_states mrm then
     invalid_arg "Checker.make: labeling and model sizes differ";
-  { mrm; labeling; engine; instance = Perf.Engine.instantiate engine;
-    robust = None; epsilon; pool; telemetry; reduction; cancel }
+  { mrm; labeling; engine; imrm = None; epsilon; pool; telemetry; reduction;
+    cancel }
 
 let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     ?(pool = Parallel.Pool.sequential) ?telemetry
@@ -39,21 +33,19 @@ let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     if Robust.Imrm.is_point imrm then Robust.Imrm.point_model imrm
     else Robust.Imrm.midpoint imrm
   in
-  let renv = Robust.Engine.make ~engine ~reduction ~epsilon () in
-  { mrm; labeling; engine; instance = Perf.Engine.instantiate engine;
-    robust = Some { imrm; renv }; epsilon; pool; telemetry; reduction;
-    cancel }
+  { mrm; labeling; engine; imrm = Some imrm; epsilon; pool; telemetry;
+    reduction; cancel }
 
 let mrm ctx = ctx.mrm
 let labeling ctx = ctx.labeling
-let robust_model ctx = Option.map (fun r -> r.imrm) ctx.robust
-let is_robust ctx = ctx.robust <> None
+let robust_model ctx = ctx.imrm
+let is_robust ctx = ctx.imrm <> None
 let with_pool ctx pool = { ctx with pool }
 let with_telemetry ctx telemetry = { ctx with telemetry }
 let with_cancel ctx cancel = { ctx with cancel }
 
 let require_precise ctx what =
-  if ctx.robust <> None then
+  if ctx.imrm <> None then
     raise
       (Unsupported
          (what
@@ -71,8 +63,6 @@ let require_precise ctx what =
    all tables: batched queries may run on several pool domains at once,
    and a concurrent miss at worst duplicates a deterministic compute. *)
 
-type cell = { mutable c_lookups : int; mutable c_hits : int }
-
 type tri = Holds | Fails | Unknown
 
 type memo = {
@@ -80,15 +70,11 @@ type memo = {
   state_ids : (Logic.Ast.state_formula, int) Hashtbl.t;
   path_ids : (Logic.Ast.path_formula, int) Hashtbl.t;
   mutable next_id : int;
-  sat_tbl : (int, bool array) Hashtbl.t;
-  path_tbl : (int, Linalg.Vec.t) Hashtbl.t;
-  tri_tbl : (int, tri array) Hashtbl.t;      (* robust Sat-sets *)
-  env_tbl : (int, Robust.Envelope.result) Hashtbl.t;  (* warm envelopes *)
+  sat_tbl : (int, bool array) Numerics.Memo.t;
+  path_tbl : (int, Linalg.Vec.t) Numerics.Memo.t;
+  tri_tbl : (int, tri array) Numerics.Memo.t;      (* robust Sat-sets *)
+  env_tbl : (int, Robust.Envelope.result) Numerics.Memo.t;  (* envelopes *)
   perf : Perf.Batch.t;   (* reduced-model and solve caches (Theorem 1) *)
-  sat_cell : cell;
-  path_cell : cell;
-  tri_cell : cell;
-  env_cell : cell;
 }
 
 let create_memo () =
@@ -96,60 +82,40 @@ let create_memo () =
     state_ids = Hashtbl.create 64;
     path_ids = Hashtbl.create 16;
     next_id = 0;
-    sat_tbl = Hashtbl.create 64;
-    path_tbl = Hashtbl.create 16;
-    tri_tbl = Hashtbl.create 64;
-    env_tbl = Hashtbl.create 16;
-    perf = Perf.Batch.create ();
-    sat_cell = { c_lookups = 0; c_hits = 0 };
-    path_cell = { c_lookups = 0; c_hits = 0 };
-    tri_cell = { c_lookups = 0; c_hits = 0 };
-    env_cell = { c_lookups = 0; c_hits = 0 } }
+    sat_tbl = Numerics.Memo.create 64;
+    path_tbl = Numerics.Memo.create 16;
+    tri_tbl = Numerics.Memo.create 64;
+    env_tbl = Numerics.Memo.create 16;
+    perf = Perf.Batch.create () }
 
 (* Intern under the memo lock; ids are dense and never recycled. *)
 let intern memo ids key =
-  match Hashtbl.find_opt ids key with
-  | Some id -> id
-  | None ->
-    let id = memo.next_id in
-    memo.next_id <- id + 1;
-    Hashtbl.add ids key id;
-    id
+  Mutex.protect memo.mlock (fun () ->
+      match Hashtbl.find_opt ids key with
+      | Some id -> id
+      | None ->
+        let id = memo.next_id in
+        memo.next_id <- id + 1;
+        Hashtbl.add ids key id;
+        id)
 
-(* Lookup-or-compute with hit accounting; [compute] runs outside the
-   lock (it may itself take the lock recursively for subformulas). *)
-let memoize memo cell tbl id compute =
-  Mutex.lock memo.mlock;
-  cell.c_lookups <- cell.c_lookups + 1;
-  match Hashtbl.find_opt tbl id with
-  | Some v ->
-    cell.c_hits <- cell.c_hits + 1;
-    Mutex.unlock memo.mlock;
-    v
-  | None ->
-    Mutex.unlock memo.mlock;
-    let v = compute () in
-    Mutex.lock memo.mlock;
-    Hashtbl.replace tbl id v;
-    Mutex.unlock memo.mlock;
-    v
+(* The cached value of a subformula; [compute] runs outside the lock (it
+   takes the lock recursively for the subformula's own operands). *)
+let memoize memo tbl ids key compute =
+  Numerics.Memo.find_or_compute memo.mlock tbl (intern memo ids key) compute
 
 let memo_counters memo =
-  Mutex.lock memo.mlock;
-  let snap (cell : cell) =
-    { Perf.Batch.lookups = cell.c_lookups;
-      hits = cell.c_hits;
-      misses = cell.c_lookups - cell.c_hits }
-  in
-  let own = [ ("path", snap memo.path_cell); ("sat", snap memo.sat_cell) ] in
-  (* The robust cells only show up once a robust context has used the
-     memo, so precise runs keep their historical counter listing. *)
   let own =
-    if memo.tri_cell.c_lookups > 0 || memo.env_cell.c_lookups > 0 then
-      ("envelope", snap memo.env_cell) :: ("rsat", snap memo.tri_cell) :: own
-    else own
+    Mutex.protect memo.mlock (fun () ->
+        let c = Numerics.Memo.counters in
+        let own = [ ("path", c memo.path_tbl); ("sat", c memo.sat_tbl) ] in
+        (* The robust tables only show up once a robust context has used
+           the memo, so precise runs keep their historical listing. *)
+        let rsat = c memo.tri_tbl and envelope = c memo.env_tbl in
+        if rsat.Numerics.Memo.lookups + envelope.Numerics.Memo.lookups > 0 then
+          ("envelope", envelope) :: ("rsat", rsat) :: own
+        else own)
   in
-  Mutex.unlock memo.mlock;
   List.sort compare (own @ Perf.Batch.counters memo.perf)
 
 (* ------------------------------------------------------------------ *)
@@ -249,8 +215,8 @@ let until_reward_bounded ctx ~phi ~psi ~reward_bound =
 
 let until_both_bounded memo ctx ~phi ~psi ~time_bound ~reward_bound =
   let solve =
-    ctx.instance.Perf.Engine_intf.run ~pool:ctx.pool ?telemetry:ctx.telemetry
-      ?cancel:ctx.cancel
+    Perf.Engine.solve ~pool:ctx.pool ?telemetry:ctx.telemetry
+      ?cancel:ctx.cancel ctx.engine
   in
   match memo with
   | None ->
@@ -356,8 +322,7 @@ let rec sat_k memo ctx (phi : Logic.Ast.state_formula) : bool array =
   match memo with
   | None -> sat_compute memo ctx phi
   | Some m ->
-    let id = Mutex.protect m.mlock (fun () -> intern m m.state_ids phi) in
-    memoize m m.sat_cell m.sat_tbl id (fun () -> sat_compute memo ctx phi)
+    memoize m m.sat_tbl m.state_ids phi (fun () -> sat_compute memo ctx phi)
 
 and sat_compute memo ctx (phi : Logic.Ast.state_formula) : bool array =
   let n = Markov.Mrm.n_states ctx.mrm in
@@ -400,8 +365,7 @@ and path_probabilities_k memo ctx (path : Logic.Ast.path_formula)
   match memo with
   | None -> path_compute memo ctx path
   | Some m ->
-    let id = Mutex.protect m.mlock (fun () -> intern m m.path_ids path) in
-    memoize m m.path_cell m.path_tbl id (fun () -> path_compute memo ctx path)
+    memoize m m.path_tbl m.path_ids path (fun () -> path_compute memo ctx path)
 
 and path_compute memo ctx (path : Logic.Ast.path_formula) : Linalg.Vec.t =
   match path with
@@ -481,8 +445,8 @@ let tri_of_bounds cmp p ~lo ~hi =
   else Unknown
 
 let get_robust ctx what =
-  match ctx.robust with
-  | Some r -> r
+  match ctx.imrm with
+  | Some imrm -> imrm
   | None ->
     raise
       (Unsupported
@@ -492,8 +456,7 @@ let rec rsat_k memo ctx (phi : Logic.Ast.state_formula) : tri array =
   match memo with
   | None -> rsat_compute memo ctx phi
   | Some m ->
-    let id = Mutex.protect m.mlock (fun () -> intern m m.state_ids phi) in
-    memoize m m.tri_cell m.tri_tbl id (fun () -> rsat_compute memo ctx phi)
+    memoize m m.tri_tbl m.state_ids phi (fun () -> rsat_compute memo ctx phi)
 
 and rsat_compute memo ctx (phi : Logic.Ast.state_formula) : tri array =
   let n = Markov.Mrm.n_states ctx.mrm in
@@ -533,13 +496,12 @@ and renvelope_k memo ctx (path : Logic.Ast.path_formula)
   match memo with
   | None -> renvelope_compute memo ctx path
   | Some m ->
-    let id = Mutex.protect m.mlock (fun () -> intern m m.path_ids path) in
-    memoize m m.env_cell m.env_tbl id (fun () ->
+    memoize m m.env_tbl m.path_ids path (fun () ->
         renvelope_compute memo ctx path)
 
 and renvelope_compute memo ctx (path : Logic.Ast.path_formula)
     : Robust.Envelope.result =
-  let r = get_robust ctx "path envelopes" in
+  let imrm = get_robust ctx "path envelopes" in
   match path with
   | Next _ ->
     raise
@@ -572,15 +534,12 @@ and renvelope_compute memo ctx (path : Logic.Ast.path_formula)
     let tf = rsat_k memo ctx f and tg = rsat_k memo ctx g in
     let must t = Array.map (fun v -> v = Holds) t
     and may t = Array.map (fun v -> v <> Fails) t in
-    r.renv.Perf.Engine_intf.run ~pool:ctx.pool ?telemetry:ctx.telemetry
-      ?cancel:ctx.cancel
-      { Robust.Engine.imrm = r.imrm;
-        phi_must = must tf;
-        phi_may = may tf;
-        psi_must = must tg;
-        psi_may = may tg;
-        time_bound;
-        reward_bound = Numerics.Time_interval.upper reward }
+    Telemetry.with_span ctx.telemetry "engine.robust-envelope" @@ fun () ->
+    Robust.Envelope.until ~pool:ctx.pool ?telemetry:ctx.telemetry
+      ?cancel:ctx.cancel ~engine:ctx.engine ~reduction:ctx.reduction
+      ~epsilon:ctx.epsilon imrm ~phi_must:(must tf) ~phi_may:(may tf)
+      ~psi_must:(must tg) ~psi_may:(may tg) ~time_bound
+      ~reward_bound:(Numerics.Time_interval.upper reward)
 
 let sat ctx phi =
   require_precise ctx "boolean Sat-sets";
@@ -615,7 +574,7 @@ type verdict =
 
 let eval_query ?memo ctx q =
   Telemetry.with_span ctx.telemetry "checker.eval_query" @@ fun () ->
-  let robust = ctx.robust <> None in
+  let robust = ctx.imrm <> None in
   let verdict =
     match q with
     | Logic.Ast.Formula f ->

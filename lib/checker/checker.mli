@@ -71,14 +71,13 @@ val make_robust :
   ?cancel:Numerics.Cancel.t -> Robust.Imrm.t -> Markov.Labeling.t -> t
 (** A robust context over an interval-valued model: {!eval_query}
     answers {!Three_valued} Sat verdicts and {!Interval} path envelopes
-    computed by the robust envelope engine ({!Robust.Engine}, a
-    first-class {!Perf.Engine_intf} instance with the [intervals]
-    capability flag).  [engine] and [reduction] configure the precise
-    code path that zero-width interval models delegate to — a point
-    context and a robust context over {!Robust.Imrm.point} of the same
-    model produce bit-identical probability values.  [epsilon] is both
-    the Fox–Glynn accuracy and the envelope safety margin; the remaining
-    parameters mean exactly what they mean on {!make}.
+    computed by {!Robust.Envelope.until} under an
+    [engine.robust-envelope] span.  [engine] and [reduction] configure
+    the precise code path that zero-width interval models delegate to —
+    a point context and a robust context over {!Robust.Imrm.point} of
+    the same model produce bit-identical probability values.  [epsilon]
+    is both the Fox–Glynn accuracy and the envelope safety margin; the
+    remaining parameters mean exactly what they mean on {!make}.
 
     The precise entry points ({!sat}, {!path_probabilities},
     {!steady_probabilities}, {!reward_values}, {!holds}) raise
@@ -130,7 +129,7 @@ type memo
 
 val create_memo : unit -> memo
 
-val memo_counters : memo -> (string * Perf.Batch.counters) list
+val memo_counters : memo -> (string * Numerics.Memo.counters) list
 (** Lookup/hit/miss statistics per cache, sorted by name: ["path"],
     ["reduced"], ["reduction"], ["sat"] and ["until"], plus ["rsat"]
     and ["envelope"] once a robust context has used the memo (precise

@@ -154,14 +154,7 @@ let parse text =
   in
   { mrm; labeling; init }
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  try parse text with
-  | Syntax_error (message, line) ->
-    raise (Syntax_error (Printf.sprintf "%s:%s" path message, line))
+let parse_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 let print doc =
   let buf = Buffer.create 1024 in

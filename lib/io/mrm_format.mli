@@ -29,7 +29,8 @@ val parse : string -> document
     labels, or an initial distribution that does not sum to one). *)
 
 val parse_file : string -> document
-(** Reads and parses a file; [Sys_error] on IO failure. *)
+(** Reads and parses a file: {!Syntax_error} as for {!parse} (the
+    message does not name the file), [Sys_error] on IO failure. *)
 
 val print : document -> string
 (** Renders back into the textual format; [parse (print d)] reproduces the

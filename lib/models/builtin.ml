@@ -49,33 +49,11 @@ let load name =
     Some (m, Queue_srn.labeling c, init)
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Interval (robust) variants: any builtin widened by a uniform        *)
-(* relative drift, spelled "<name>-drift" (10%) or "<name>-drift:PCT". *)
-
+(* Interval variants: any builtin widened by a uniform relative drift,
+   spelled "<name>-drift" (10%) or "<name>-drift:PCT" (see Source). *)
 let all_robust =
   [ ("multiprocessor-drift",
      "the multiprocessor with every rate and reward widened by +/-10%");
     ("<name>-drift[:PCT]",
      "any built-in model widened by a +/-PCT% uniform drift (default 10)")
   ]
-
-let load_robust name =
-  let base_with_suffix, pct =
-    match String.rindex_opt name ':' with
-    | Some i when i > 0 && i < String.length name - 1 ->
-      ( String.sub name 0 i,
-        float_of_string_opt (String.sub name (i + 1) (String.length name - i - 1))
-      )
-    | _ -> (name, Some 10.0)
-  in
-  if not (Filename.check_suffix base_with_suffix "-drift") then None
-  else
-    match pct with
-    | Some pct when pct >= 0.0 && pct < 100.0 ->
-      let base = Filename.chop_suffix base_with_suffix "-drift" in
-      Option.map
-        (fun (mrm, labeling, init) ->
-          (Robust.Imrm.of_mrm ~rate_drift:(pct /. 100.0) mrm, labeling, init))
-        (load base)
-    | _ -> None

@@ -15,15 +15,5 @@ val load :
     may also share one). *)
 
 val all_robust : (string * string) list
-(** Display entries for the interval variants below. *)
-
-val load_robust :
-  string -> (Robust.Imrm.t * Markov.Labeling.t * Linalg.Vec.t) option
-(** [load_robust "<name>-drift"] widens the builtin [<name>] into an
-    interval model with a uniform +/-10% relative drift on every rate
-    and reward ({!Robust.Imrm.of_mrm}); ["<name>-drift:PCT"] picks the
-    percentage ([0 <= PCT < 100] — [0] gives the zero-width point
-    model).  [None] for names without the [-drift] suffix, unknown
-    bases, or out-of-range percentages.  Raises [Invalid_argument] for
-    bases with impulse rewards (e.g. [queue]), which interval models
-    cannot represent. *)
+(** Display entries for the ["<name>-drift[:PCT]"] interval variants
+    that {!Source.resolve} widens from these builtins. *)

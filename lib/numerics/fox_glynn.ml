@@ -58,58 +58,22 @@ let compute_fresh ~q ~epsilon =
    consumer only reads it), so sharing one array across callers — and
    across pool domains, hence the mutex — is safe. *)
 
-type cache_counters = { lookups : int; hits : int; misses : int }
+type cache_counters = Memo.counters = { lookups : int; hits : int; misses : int }
 
+(* Windows are a few kB each; at most 64 are retained and a full table
+   is simply dropped. *)
 let cache_lock = Mutex.create ()
-let cache : (float * float, t) Hashtbl.t = Hashtbl.create 64
+let cache : (float * float, t) Memo.t = Memo.create ~capacity:64 64
 
-(* Windows are a few kB each; at most [cache_capacity] are retained and
-   a full table is simply dropped (regular workloads cycle through far
-   fewer distinct keys than this, so eviction order never matters). *)
-let cache_capacity = 64
-let cache_lookups = ref 0
-let cache_hits = ref 0
-
-let cache_counters () =
-  Mutex.lock cache_lock;
-  let c =
-    { lookups = !cache_lookups;
-      hits = !cache_hits;
-      misses = !cache_lookups - !cache_hits }
-  in
-  Mutex.unlock cache_lock;
-  c
-
-let cache_clear () =
-  Mutex.lock cache_lock;
-  Hashtbl.reset cache;
-  cache_lookups := 0;
-  cache_hits := 0;
-  Mutex.unlock cache_lock
+let cache_counters () = Mutex.protect cache_lock (fun () -> Memo.counters cache)
+let cache_clear () = Mutex.protect cache_lock (fun () -> Memo.clear cache)
 
 let compute ~q ~epsilon =
   if q < 0.0 then invalid_arg "Fox_glynn.compute: negative q";
   if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid_arg "Fox_glynn.compute: epsilon outside (0,1)";
-  let key = (q, epsilon) in
-  Mutex.lock cache_lock;
-  incr cache_lookups;
-  match Hashtbl.find_opt cache key with
-  | Some w ->
-    incr cache_hits;
-    Mutex.unlock cache_lock;
-    w
-  | None ->
-    Mutex.unlock cache_lock;
-    (* Compute outside the lock: concurrent misses on the same key may
-       duplicate work, but both results are identical, so whichever
-       write lands last changes nothing. *)
-    let w = compute_fresh ~q ~epsilon in
-    Mutex.lock cache_lock;
-    if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-    Hashtbl.replace cache key w;
-    Mutex.unlock cache_lock;
-    w
+  Memo.find_or_compute cache_lock cache (q, epsilon) (fun () ->
+      compute_fresh ~q ~epsilon)
 
 (* Telemetry only reads a finished window, so recording cannot perturb
    the numerics; callers invoke it right after [compute]. *)

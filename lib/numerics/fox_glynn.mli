@@ -30,7 +30,7 @@ val compute : q:float -> epsilon:float -> t
     a fresh one; the cache is mutex-protected and bounded (a full table is
     dropped wholesale). *)
 
-type cache_counters = { lookups : int; hits : int; misses : int }
+type cache_counters = Memo.counters = { lookups : int; hits : int; misses : int }
 
 val cache_counters : unit -> cache_counters
 (** Cumulative cache statistics since start-up (or {!cache_clear});

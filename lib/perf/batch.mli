@@ -33,8 +33,8 @@
 type t
 (** The caches of one batch, plus their hit counters. *)
 
-type counters = { lookups : int; hits : int; misses : int }
-(** Per-cache statistics; [hits + misses = lookups] always. *)
+type counters = Numerics.Memo.counters = { lookups : int; hits : int; misses : int }
+(** Per-cache statistics ({!Numerics.Memo.counters}). *)
 
 val create : unit -> t
 

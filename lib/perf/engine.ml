@@ -51,45 +51,29 @@ let solve_windowed ?pool ?telemetry ?cancel ~epsilon (p : Problem.t) =
     | Explore.Windowed.Reward_bound_active _ -> fallback ()
   end
 
-let caps : spec -> Engine_intf.caps = function
-  | Pseudo_erlang _ | Discretize _ ->
-    { Engine_intf.impulses = true; symbolic = false; intervals = false }
-  | Occupation_time _ -> Engine_intf.point_caps
-  | Windowed _ ->
-    (* Symbolic-capable; the reward-bound fallback goes to the
-       occupation-time engine, so impulse models are rejected there. *)
-    { Engine_intf.impulses = false; symbolic = true; intervals = false }
-
-let instantiate ?reduction spec : (Problem.t, float) Engine_intf.t =
-  let run ?pool ?telemetry ?cancel (p : Problem.t) =
-    Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
-    let p =
-      match reduction with
-      | None -> p
-      | Some config -> Reduction.apply ?telemetry config p
-    in
-    match spec with
-    | Windowed { epsilon } ->
-      solve_windowed ?pool ?telemetry ?cancel ~epsilon p
-    | _ ->
-      if Problem.reward_trivially_satisfied p then
-        Markov.Transient.reachability ?pool ?telemetry ?cancel
-          (Markov.Mrm.ctmc p.Problem.mrm)
-          ~init:p.Problem.init ~goal:p.Problem.goal ~t:p.Problem.time_bound
-      else
-        match spec with
-        | Pseudo_erlang { phases } ->
-          Erlang_approx.solve ?pool ?telemetry ?cancel ~phases p
-        | Discretize { step } ->
-          Discretization.solve ?pool ?telemetry ?cancel ~step p
-        | Occupation_time { epsilon } ->
-          Sericola.solve ~epsilon ?pool ?telemetry ?cancel p
-        | Windowed _ -> assert false
-  in
-  { Engine_intf.id = name spec; caps = caps spec; run }
-
 let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
-  (instantiate ?reduction spec).Engine_intf.run ?pool ?telemetry ?cancel p
+  Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
+  let p =
+    match reduction with
+    | None -> p
+    | Some config -> Reduction.apply ?telemetry config p
+  in
+  match spec with
+  | Windowed { epsilon } -> solve_windowed ?pool ?telemetry ?cancel ~epsilon p
+  | _ ->
+    if Problem.reward_trivially_satisfied p then
+      Markov.Transient.reachability ?pool ?telemetry ?cancel
+        (Markov.Mrm.ctmc p.Problem.mrm)
+        ~init:p.Problem.init ~goal:p.Problem.goal ~t:p.Problem.time_bound
+    else
+      match spec with
+      | Pseudo_erlang { phases } ->
+        Erlang_approx.solve ?pool ?telemetry ?cancel ~phases p
+      | Discretize { step } ->
+        Discretization.solve ?pool ?telemetry ?cancel ~step p
+      | Occupation_time { epsilon } ->
+        Sericola.solve ~epsilon ?pool ?telemetry ?cancel p
+      | Windowed _ -> assert false
 
 let of_string text =
   match String.split_on_char ':' text with

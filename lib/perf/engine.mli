@@ -28,21 +28,6 @@ val default : spec
 
 val name : spec -> string
 
-val caps : spec -> Engine_intf.caps
-(** Capability flags of the backend a spec selects: the pseudo-Erlang
-    and discretisation procedures accept impulse rewards, the windowed
-    engine is the only symbolic-capable one, and none of the precise
-    engines produce interval answers. *)
-
-val instantiate : ?reduction:Reduction.config -> spec -> (Problem.t, float) Engine_intf.t
-(** Package a spec as a first-class engine instance (see
-    {!Engine_intf}).  The returned [run] closure behaves exactly like
-    {!solve} with the same [reduction] configuration: front-ends that
-    hold an instance (checker contexts, server registries) dispatch
-    through the record instead of re-matching the variant on every
-    query, and robust instances from [lib/robust] slot into the same
-    shape. *)
-
 val solve :
   ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
   ?reduction:Reduction.config -> ?cancel:Numerics.Cancel.t ->

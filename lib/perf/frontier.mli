@@ -8,8 +8,8 @@
     in [t].  {!sweep} resolves that boundary on a fixed time grid by
     divide-and-conquer bisection over the reward axis, using the already
     resolved neighbours as brackets; {!probe} is the 1-point degenerate
-    case (one bisection along a single axis) and is the primitive
-    [Server.Quantile] delegates to.
+    case (one bisection along a single axis) that answers the serving
+    daemon's [quantile] requests.
 
     This module is a pure search: it knows nothing about models or
     engines.  Callers supply [eval], typically a warm-context

@@ -9,16 +9,20 @@
     Request kinds:
 
     - [{"kind": "load", "model": NAME}] — load the named built-in model
-      into the registry (or, with ["file": PATH], parse a [.mrm] file
-      and register it under NAME; or, with ["builtin": SOURCE], register
+      into the registry (or, with ["file": PATH], parse a [.mrm] file or
+      a [.gcm] program and register it under NAME; or, with
+      ["builtin": SOURCE], register
       the built-in SOURCE under the alias NAME with its own independent
       warm caches — ["file"] and ["builtin"] are mutually exclusive).
       With ["drift": PCT] the resolved model is widened by a uniform
       +/-PCT% relative drift into an interval-valued entry answering
       robust envelopes; with ["imrm": PATH] an interval model is parsed
       from PATH's JSON directly (["imrm"] excludes every other source
-      field).  Reloading a name replaces its entry, warm caches
-      included.
+      field).  The source resolves through {!Models.Source.resolve}, as
+      [csrl-check]'s model flags do: an unknown name answers
+      [unknown_model], a missing or malformed file (or a model that
+      cannot be widened) [load_error].  Reloading a name replaces its
+      entry, warm caches included.
     - [{"kind": "list"}] — the registered models, sorted by name.
     - [{"kind": "evict", "model": NAME}] — drop a registry entry.
     - [{"kind": "check", "model": NAME, "query": CSRL}] — evaluate one

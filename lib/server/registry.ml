@@ -1,19 +1,6 @@
 type payload =
-  | Explicit of {
-      mrm : Markov.Mrm.t;
-      labeling : Markov.Labeling.t;
-      init : Linalg.Vec.t;
-      ctx : Checker.t;
-      memo : Checker.memo;
-    }
+  | Checked of { ctx : Checker.t; memo : Checker.memo; init : Linalg.Vec.t }
   | Symbolic of { path : string; sym : Perf.Symbolic.t }
-  | Robust of {
-      imrm : Robust.Imrm.t;
-      labeling : Markov.Labeling.t;
-      init : Linalg.Vec.t;
-      ctx : Checker.t;
-      memo : Checker.memo;
-    }
 
 type entry = {
   name : string;
@@ -32,93 +19,26 @@ let create ~make_ctx ~make_robust_ctx () =
   { make_ctx; make_robust_ctx; table = Hashtbl.create 8;
     lock = Mutex.create () }
 
-let build_explicit t ~name mrm labeling init =
-  { name;
-    payload =
-      Explicit
-        { mrm; labeling; init;
-          ctx = t.make_ctx mrm labeling;
-          memo = Checker.create_memo () };
-    entry_lock = Mutex.create () }
-
-let build_robust t ~name imrm labeling init =
-  { name;
-    payload =
-      Robust
-        { imrm; labeling; init;
-          ctx = t.make_robust_ctx imrm labeling;
-          memo = Checker.create_memo () };
-    entry_lock = Mutex.create () }
-
-let build_symbolic ~name ~path sym =
-  { name; payload = Symbolic { path; sym }; entry_lock = Mutex.create () }
-
-let is_gcm path = Filename.check_suffix path ".gcm"
-
 let load t ~name ?builtin ?file ?drift ?imrm () =
-  let register entry =
+  let source = Option.value builtin ~default:name in
+  match Models.Source.resolve ?file ?drift ?imrm source with
+  | Error _ as e -> e
+  | Ok resolved ->
+    let checked ctx init =
+      Checked { ctx; memo = Checker.create_memo (); init }
+    in
+    let payload =
+      match resolved with
+      | Models.Source.Explicit { mrm; labeling; init } ->
+        checked (t.make_ctx mrm labeling) init
+      | Models.Source.Interval { imrm; labeling; init } ->
+        checked (t.make_robust_ctx imrm labeling) init
+      | Models.Source.Program { path; succ } ->
+        Symbolic { path; sym = Perf.Symbolic.create succ }
+    in
+    let entry = { name; payload; entry_lock = Mutex.create () } in
     Mutex.protect t.lock (fun () -> Hashtbl.replace t.table name entry);
     Ok entry
-  in
-  match imrm with
-  | Some path -> begin
-      match Robust.Imrm_io.parse_file path with
-      | doc ->
-        register
-          (build_robust t ~name doc.Robust.Imrm_io.imrm
-             doc.Robust.Imrm_io.labeling doc.Robust.Imrm_io.init)
-      | exception Robust.Imrm_io.Format_error message ->
-        Error (Printf.sprintf "%s: %s" path message)
-      | exception Sys_error message -> Error message
-    end
-  | None ->
-  match file with
-  | Some path when is_gcm path ->
-    if drift <> None then
-      Error
-        (Printf.sprintf
-           "%s: .gcm models cannot be widened into interval models" path)
-    else begin
-      match Lang.Gcm.load_file path with
-      | Ok succ -> register (build_symbolic ~name ~path (Perf.Symbolic.create succ))
-      | Error _ as e -> e
-    end
-  | _ ->
-    let resolved =
-      match file with
-      | Some path -> begin
-          match Io.Mrm_format.parse_file path with
-          | doc ->
-            Ok
-              (doc.Io.Mrm_format.mrm, doc.Io.Mrm_format.labeling,
-               doc.Io.Mrm_format.init)
-          | exception Io.Mrm_format.Syntax_error (message, line) ->
-            Error (Printf.sprintf "%s: line %d: %s" path line message)
-          | exception Sys_error message -> Error message
-        end
-      | None ->
-        let source = Option.value builtin ~default:name in
-        (match Models.Builtin.load source with
-         | Some (mrm, labeling, init) -> Ok (mrm, labeling, init)
-         | None -> Error (Printf.sprintf "unknown built-in model %S" source))
-    in
-    (* Built-in "-drift" names resolve to interval entries directly;
-       explicit ["drift"] widens whatever source was resolved. *)
-    (match resolved, drift with
-     | Error e, _ -> begin
-         match file, Models.Builtin.load_robust (Option.value builtin ~default:name) with
-         | None, Some (imrm, labeling, init) ->
-           register (build_robust t ~name imrm labeling init)
-         | None, None | Some _, _ -> Error e
-         | exception Invalid_argument message -> Error message
-       end
-     | Ok (mrm, labeling, init), None ->
-       register (build_explicit t ~name mrm labeling init)
-     | Ok (mrm, labeling, init), Some pct -> begin
-         match Robust.Imrm.of_mrm ~rate_drift:(pct /. 100.0) mrm with
-         | imrm -> register (build_robust t ~name imrm labeling init)
-         | exception Invalid_argument message -> Error message
-       end)
 
 let find t name = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table name)
 

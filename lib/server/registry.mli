@@ -1,9 +1,9 @@
 (** The daemon's model registry: named models, each carrying its warm
     state.
 
-    Entries come in two flavours.  An {e explicit} entry bundles a
-    materialised model with everything that makes repeat queries cheap:
-    a prepared {!Checker.t} and a {!Checker.memo} holding the
+    Entries come in two flavours.  A {e checked} entry bundles a
+    point-valued or interval model with everything that makes repeat
+    queries cheap: a prepared {!Checker.t} and a {!Checker.memo} holding the
     hash-consed Sat-set and path-probability tables plus the
     {!Perf.Batch} reduction and Theorem 1 caches.  A {e symbolic} entry
     wraps a [.gcm] guarded-command program as a {!Perf.Symbolic.t},
@@ -30,23 +30,19 @@
     get [None] from {!find}. *)
 
 type payload =
-  | Explicit of {
-      mrm : Markov.Mrm.t;
-      labeling : Markov.Labeling.t;
-      init : Linalg.Vec.t;
-      ctx : Checker.t;     (** prepared on the server's engine/pool config *)
-      memo : Checker.memo; (** the entry's warm caches *)
+  | Checked of {
+      ctx : Checker.t;
+          (** prepared on the server's engine/pool config: a precise
+              context ({!Checker.make}) for point-valued models, a robust
+              one ({!Checker.make_robust}) for interval models *)
+      memo : Checker.memo;
+          (** the entry's warm caches (envelopes and three-valued Sat
+              sets included on robust entries) *)
+      init : Linalg.Vec.t;  (** the model's initial distribution *)
     }
   | Symbolic of {
       path : string;            (** the [.gcm] file it was loaded from *)
       sym : Perf.Symbolic.t;    (** warm space + query memo *)
-    }
-  | Robust of {
-      imrm : Robust.Imrm.t;
-      labeling : Markov.Labeling.t;
-      init : Linalg.Vec.t;
-      ctx : Checker.t;     (** a robust context ({!Checker.make_robust}) *)
-      memo : Checker.memo; (** warm caches incl. envelopes and tri-Sat sets *)
     }
 
 type entry = {
@@ -71,22 +67,14 @@ val create :
 
 val load :
   t -> name:string -> ?builtin:string -> ?file:string -> ?drift:float ->
-  ?imrm:string -> unit -> (entry, string) result
-(** Build the model and register it under [name].  Without [builtin] or
-    [file], [name] itself must be a built-in model
-    ({!Models.Builtin}); with [builtin], that built-in is loaded and
-    registered under the (possibly different) [name] — an alias, giving
-    the entry its own independent warm caches; with [file], the file is
-    parsed — [.gcm] files become symbolic entries (each load gets a
-    fresh, independent warm space), anything else is parsed as [.mrm].
-    With [drift] (a percentage in [\[0, 100)]) the resolved explicit
-    model is widened by a uniform relative drift into a robust entry;
-    with [imrm], [imrm] is parsed as an interval-model JSON file
-    ({!Robust.Imrm_io}) and every other source is ignored.  Built-in
-    ["<name>-drift[:PCT]"] names resolve to robust entries directly.
-    Replaces any existing entry (fresh warm state).  Errors are
-    messages: unknown built-in, or the file's parse error with
-    [file:line:col] positions for [.gcm]. *)
+  ?imrm:string -> unit -> (entry, Models.Source.error) result
+(** Build the model and register it under [name], replacing any
+    existing entry (fresh warm state).  The model is
+    [Models.Source.resolve ?file ?drift ?imrm source] with [source] the
+    [builtin] name, or [name] itself without one — an alias gives the
+    entry its own independent warm caches.  Point-valued and interval
+    models become {!Checked} entries; [.gcm] programs become {!Symbolic}
+    entries, each load with a fresh, independent warm space. *)
 
 val find : t -> string -> entry option
 

@@ -81,6 +81,16 @@ type t = {
 
 let registry t = t.reg
 
+(* The resolver's typed errors as protocol errors: an unknown name is
+   [unknown_model], a bad file or an impossible widening [load_error]. *)
+let load_error ?id (e : Models.Source.error) =
+  match e with
+  | Models.Source.Unknown_model name ->
+    Protocol.error ?id ~code:"unknown_model"
+      (Printf.sprintf "unknown built-in model %S" name)
+  | Models.Source.Invalid message ->
+    Protocol.error ?id ~code:"load_error" message
+
 let preload t names =
   List.fold_left
     (fun acc name ->
@@ -89,68 +99,12 @@ let preload t names =
       | Ok () -> begin
           match Registry.load t.reg ~name () with
           | Ok _ -> Ok ()
-          | Error message -> Error message
+          | Error e -> Error (load_error e).Protocol.message
         end)
     (Ok ()) names
 
 (* ------------------------------------------------------------------ *)
 (* Response bodies.                                                    *)
-
-let counters_entry (c : Perf.Batch.counters) =
-  Io.Json.Object
-    [ ("lookups", Io.Json.Number (float_of_int c.Perf.Batch.lookups));
-      ("hits", Io.Json.Number (float_of_int c.Perf.Batch.hits));
-      ("misses", Io.Json.Number (float_of_int c.Perf.Batch.misses));
-      ("hit_rate", Io.Json.Number (Batch.hit_rate c)) ]
-
-(* Exactly the result shape of a [csrl-check --batch] entry, so server
-   answers are comparable to the single-shot CLI string-for-string. *)
-let verdict_json ~init verdict =
-  match verdict with
-  | Checker.Boolean mask ->
-    let indicator =
-      Linalg.Vec.init (Array.length mask) (fun s ->
-          if mask.(s) then 1.0 else 0.0)
-    in
-    [ ("kind", Io.Json.String "boolean");
-      ("initial_mass", Io.Json.Number (Linalg.Vec.dot init indicator));
-      ("states",
-       Io.Json.List (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask)))
-    ]
-  | Checker.Numeric values ->
-    [ ("kind", Io.Json.String "numeric");
-      ("value", Io.Json.Number (Linalg.Vec.dot init values));
-      ("states",
-       Io.Json.List
-         (List.init (Linalg.Vec.length values) (fun s ->
-              Io.Json.Number values.{s}))) ]
-  | Checker.Three_valued tris ->
-    let mass keep =
-      Linalg.Vec.dot init
-        (Linalg.Vec.init (Array.length tris) (fun s ->
-             if keep tris.(s) then 1.0 else 0.0))
-    in
-    [ ("kind", Io.Json.String "three-valued");
-      ("initial_mass_lo",
-       Io.Json.Number (mass (fun v -> v = Checker.Holds)));
-      ("initial_mass_hi",
-       Io.Json.Number (mass (fun v -> v <> Checker.Fails)));
-      ("states",
-       Io.Json.List
-         (Array.to_list
-            (Array.map
-               (fun v -> Io.Json.String (Checker.tri_to_string v))
-               tris))) ]
-  | Checker.Interval env ->
-    let lo = env.Robust.Envelope.lo and hi = env.Robust.Envelope.hi in
-    [ ("kind", Io.Json.String "interval");
-      ("value_lo", Io.Json.Number (Linalg.Vec.dot init lo));
-      ("value_hi", Io.Json.Number (Linalg.Vec.dot init hi));
-      ("states",
-       Io.Json.List
-         (List.init (Linalg.Vec.length lo) (fun s ->
-              Io.Json.List [ Io.Json.Number lo.{s}; Io.Json.Number hi.{s} ])))
-    ]
 
 (* Symbolic (successor-backed) models answer with a certified interval
    instead of a per-state vector: there is no enumerated state space to
@@ -188,9 +142,8 @@ let symbolic_verdict_json (outcome : Perf.Symbolic.outcome) =
 
 let entry_states (e : Registry.entry) =
   match e.Registry.payload with
-  | Registry.Explicit { mrm; _ } -> Markov.Mrm.n_states mrm
+  | Registry.Checked { ctx; _ } -> Markov.Mrm.n_states (Checker.mrm ctx)
   | Registry.Symbolic { sym; _ } -> Perf.Symbolic.n_states sym
-  | Registry.Robust { imrm; _ } -> Robust.Imrm.n_states imrm
 
 (* ------------------------------------------------------------------ *)
 (* Request execution.                                                  *)
@@ -290,11 +243,8 @@ let stats_json t =
       (fun (e : Registry.entry) ->
         let cache =
           match e.Registry.payload with
-          | Registry.Explicit { memo; _ } | Registry.Robust { memo; _ } ->
-            Io.Json.Object
-              (List.map
-                 (fun (name, counters) -> (name, counters_entry counters))
-                 (Checker.memo_counters memo))
+          | Registry.Checked { memo; _ } ->
+            Batch.caches_json (Checker.memo_counters memo)
           | Registry.Symbolic { sym; _ } ->
             Io.Json.Object
               [ ("query_memo_entries",
@@ -306,63 +256,46 @@ let stats_json t =
             ("cache", cache) ])
       (Registry.entries t.reg)
   in
-  let fg = Numerics.Fox_glynn.cache_counters () in
   [ ("requests", Io.Json.Object (List.map int_field requests));
     ("errors", Io.Json.Number (float_of_int errors));
     ("overloaded", Io.Json.Number (float_of_int overloaded));
     ("deadline_exceeded", Io.Json.Number (float_of_int deadline_exceeded));
     ("models", Io.Json.List models);
-    ("fox_glynn",
-     counters_entry
-       { Perf.Batch.lookups = fg.Numerics.Fox_glynn.lookups;
-         hits = fg.Numerics.Fox_glynn.hits;
-         misses = fg.Numerics.Fox_glynn.misses }) ]
+    ("fox_glynn", Batch.counters_json (Numerics.Fox_glynn.cache_counters ()))
+  ]
 
 let run_request t ~admitted ~id request =
   let ok = Protocol.response_ok ~id in
   match (request : Protocol.request) with
   | Load { model; file; builtin; drift; imrm } -> begin
       match Registry.load t.reg ~name:model ?builtin ?file ?drift ?imrm () with
-      | Ok entry -> begin
+      | Error e -> Error (load_error ?id e)
+      | Ok entry ->
+        let number n = Io.Json.Number (float_of_int n) in
+        let shape =
           match entry.Registry.payload with
-          | Registry.Explicit { mrm; _ } ->
-            Ok
-              (ok ~kind:"load"
-                 [ ("model", Io.Json.String model);
-                   ("states",
-                    Io.Json.Number (float_of_int (Markov.Mrm.n_states mrm)));
-                   ("transitions",
-                    Io.Json.Number
-                      (float_of_int
-                         (Linalg.Csr.nnz
-                            (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm))))) ])
+          | Registry.Checked { ctx; _ } -> begin
+              match Checker.robust_model ctx with
+              | None ->
+                let mrm = Checker.mrm ctx in
+                [ ("states", number (Markov.Mrm.n_states mrm));
+                  ("transitions",
+                   number
+                     (Linalg.Csr.nnz (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm))))
+                ]
+              | Some imrm ->
+                [ ("robust", Io.Json.Bool true);
+                  ("states", number (Robust.Imrm.n_states imrm));
+                  ("transitions", number (Robust.Imrm.n_transitions imrm));
+                  ("max_width", Io.Json.Number (Robust.Imrm.max_width imrm)) ]
+            end
           | Registry.Symbolic { sym; _ } ->
             (* The reachable space is discovered on demand; only the
                interned count (the initial state, at load time) exists. *)
-            Ok
-              (ok ~kind:"load"
-                 [ ("model", Io.Json.String model);
-                   ("symbolic", Io.Json.Bool true);
-                   ("states_interned",
-                    Io.Json.Number
-                      (float_of_int (Perf.Symbolic.n_states sym))) ])
-          | Registry.Robust { imrm; _ } ->
-            Ok
-              (ok ~kind:"load"
-                 [ ("model", Io.Json.String model);
-                   ("robust", Io.Json.Bool true);
-                   ("states",
-                    Io.Json.Number
-                      (float_of_int (Robust.Imrm.n_states imrm)));
-                   ("transitions",
-                    Io.Json.Number
-                      (float_of_int (Robust.Imrm.n_transitions imrm)));
-                   ("max_width", Io.Json.Number (Robust.Imrm.max_width imrm))
-                 ])
-        end
-      | Error message ->
-        let code = if file = None then "unknown_model" else "load_error" in
-        Error (Protocol.error ?id ~code message)
+            [ ("symbolic", Io.Json.Bool true);
+              ("states_interned", number (Perf.Symbolic.n_states sym)) ]
+        in
+        Ok (ok ~kind:"load" (("model", Io.Json.String model) :: shape))
     end
   | Evict { model } ->
     if Registry.evict t.reg model then
@@ -391,16 +324,14 @@ let run_request t ~admitted ~id request =
       ]
     in
     (match entry.Registry.payload with
-     | Registry.Explicit { ctx; memo; init; _ }
-     | Registry.Robust { ctx; memo; init; _ } ->
+     | Registry.Checked { ctx; memo; init } ->
        let ctx = Checker.with_cancel ctx token in
        let* verdict =
          Registry.exclusively entry (fun () ->
              guarded ?id (fun () -> Checker.eval_query ~memo ctx q))
        in
-       Ok
-         (ok ~kind:"check"
-            (header @ [ ("result", Io.Json.Object (verdict_json ~init verdict)) ]))
+       let result = Io.Json.Object (Batch.verdict_json ~init verdict) in
+       Ok (ok ~kind:"check" (header @ [ ("result", result) ]))
      | Registry.Symbolic { sym; _ } ->
        (* The server's engine config only constrains the epsilon here: a
           symbolic model is always solved by the windowed engine. *)
@@ -433,17 +364,17 @@ let run_request t ~admitted ~id request =
     in
     let* ctx, memo, init =
       match entry.Registry.payload with
-      | Registry.Explicit { ctx; memo; init; _ } -> Ok (ctx, memo, init)
+      | Registry.Checked { ctx; _ } when Checker.is_robust ctx ->
+        Error
+          (Protocol.error ?id ~code:"unsupported"
+             "quantile search needs point probabilities; check the interval \
+              model's envelopes with P queries instead")
+      | Registry.Checked { ctx; memo; init } -> Ok (ctx, memo, init)
       | Registry.Symbolic _ ->
         Error
           (Protocol.error ?id ~code:"unsupported"
              "quantile search runs on explicit models only; check the .gcm \
               model directly or load its materialised .mrm")
-      | Registry.Robust _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "quantile search needs point probabilities; check the interval \
-              model's envelopes with P queries instead")
     in
     let* token = deadline_token t ~admitted ?id request in
     let ctx = Checker.with_cancel ctx token in
@@ -467,7 +398,8 @@ let run_request t ~admitted ~id request =
     in
     let* outcome =
       Registry.exclusively entry (fun () ->
-          guarded ?id (fun () -> Quantile.search ~eval ~target ~hi ~tolerance))
+          guarded ?id (fun () ->
+              Perf.Frontier.probe ~eval ~target ~hi ~tolerance))
     in
     Ok
       (ok ~kind:"quantile"
@@ -479,12 +411,12 @@ let run_request t ~admitted ~id request =
            ("hi", Io.Json.Number hi);
            ("tolerance", Io.Json.Number tolerance);
            ("value",
-            (match outcome.Quantile.value with
+            (match outcome.Perf.Frontier.value with
              | None -> Io.Json.Null
              | Some v -> Io.Json.Number v));
-           ("achieved", Io.Json.Number outcome.Quantile.achieved);
+           ("achieved", Io.Json.Number outcome.Perf.Frontier.achieved);
            ("evaluations",
-            Io.Json.Number (float_of_int outcome.Quantile.evaluations)) ])
+            Io.Json.Number (float_of_int outcome.Perf.Frontier.evaluations)) ])
   | Frontier { model; query; tolerance; _ } ->
     let* entry = resolve t ?id model in
     let* q = parse_query ?id query in
@@ -499,17 +431,12 @@ let run_request t ~admitted ~id request =
     in
     let* ctx, memo, init =
       match entry.Registry.payload with
-      | Registry.Explicit { ctx; memo; init; _ } -> Ok (ctx, memo, init)
+      | Registry.Checked { ctx; memo; init } -> Ok (ctx, memo, init)
       | Registry.Symbolic _ ->
         Error
           (Protocol.error ?id ~code:"unsupported"
              "frontier sweeps run on explicit models only; check the .gcm \
               model directly or load its materialised .mrm")
-      | Registry.Robust _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "frontier sweeps need point probabilities; check the interval \
-              model's envelopes with P queries instead")
     in
     let* token = deadline_token t ~admitted ?id request in
     let ctx = Checker.with_cancel ctx token in
@@ -523,29 +450,15 @@ let run_request t ~admitted ~id request =
               Batch.Frontier.run ?telemetry:t.config.telemetry
                 ~memo ~tolerance ctx ~init q))
     in
-    let points =
-      List.map
-        (fun (p : Batch.Frontier.point) ->
-          Io.Json.Object
-            [ ("t", Io.Json.Number p.Batch.Frontier.t);
-              ("r", Io.Json.Number p.Batch.Frontier.r);
-              ("probability", Io.Json.Number p.Batch.Frontier.probability) ])
-        f.Batch.Frontier.points
-    in
     Ok
       (ok ~kind:"frontier"
-         [ ("model", Io.Json.String model);
-           ("query",
-            Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query q));
-           ("target", Io.Json.Number f.Batch.Frontier.target);
-           ("time_bound", Io.Json.Number f.Batch.Frontier.time_bound);
-           ("reward_bound", Io.Json.Number f.Batch.Frontier.reward_bound);
-           ("grid",
-            Io.Json.Number (float_of_int f.Batch.Frontier.grid));
-           ("tolerance", Io.Json.Number f.Batch.Frontier.tolerance);
-           ("points", Io.Json.List points);
-           ("evaluations",
-            Io.Json.Number (float_of_int f.Batch.Frontier.evaluations)) ])
+         ([ ("model", Io.Json.String model);
+            ("query",
+             Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query q)) ]
+         @ Batch.Frontier.bounds_json f
+         @ [ ("points", Batch.Frontier.points_json f.Batch.Frontier.points);
+             ("evaluations",
+              Io.Json.Number (float_of_int f.Batch.Frontier.evaluations)) ]))
   | Stats -> Ok (ok ~kind:"stats" (stats_json t))
   | Shutdown -> Ok (ok ~kind:"shutdown" [])
 

@@ -14,9 +14,14 @@ let bits = Int64.bits_of_float
 (* probe: the 1-point degenerate case on analytic evals.               *)
 
 let test_probe_analytic () =
-  (* eval r = 1 - exp(-r): the least r with eval r >= 1/2 is ln 2. *)
+  (* eval r = 1 - exp(-r): the least r with eval r >= 1/2 is ln 2.  The
+     engines need a positive bound, so the search never probes r <= 0. *)
   let evaluations = ref 0 in
-  let eval r = incr evaluations; 1.0 -. exp (-.r) in
+  let eval r =
+    if not (r > 0.0) then Alcotest.failf "probe evaluated at %g" r;
+    incr evaluations;
+    1.0 -. exp (-.r)
+  in
   let o = Perf.Frontier.probe ~eval ~target:0.5 ~hi:10.0 ~tolerance:1e-9 in
   (match o.Perf.Frontier.value with
    | None -> Alcotest.fail "probe missed a reachable target"
@@ -50,22 +55,6 @@ let test_probe_validation () =
   Alcotest.check_raises "tolerance validation"
     (Invalid_argument "Frontier.probe: tolerance must be positive") (fun () ->
       ignore (Perf.Frontier.probe ~eval ~target:0.5 ~hi:1.0 ~tolerance:0.0))
-
-(* Server.Quantile is the 1-point degenerate case of the frontier: its
-   search must be the same record Frontier.probe returns, bit for bit
-   (serve.t additionally pins the absolute values over the wire). *)
-let test_quantile_delegates () =
-  let eval x = 1.0 -. exp (-.2.0 *. x) in
-  let q = Server.Quantile.search ~eval ~target:0.75 ~hi:20.0 ~tolerance:1e-7 in
-  let f = Perf.Frontier.probe ~eval ~target:0.75 ~hi:20.0 ~tolerance:1e-7 in
-  (match (q.Server.Quantile.value, f.Perf.Frontier.value) with
-   | Some a, Some b when bits a = bits b -> ()
-   | None, None -> ()
-   | _ -> Alcotest.fail "Quantile.search diverged from Frontier.probe");
-  if bits q.Server.Quantile.achieved <> bits f.Perf.Frontier.achieved then
-    Alcotest.fail "achieved probabilities differ";
-  Alcotest.(check int) "evaluation counts" f.Perf.Frontier.evaluations
-    q.Server.Quantile.evaluations
 
 (* ------------------------------------------------------------------ *)
 (* sweep: certified staircase on an analytic two-variable eval.        *)
@@ -322,8 +311,6 @@ let suite =
         test_probe_unreachable;
       Alcotest.test_case "probe validates its arguments" `Quick
         test_probe_validation;
-      Alcotest.test_case "quantile search is the 1-point sweep" `Quick
-        test_quantile_delegates;
       Alcotest.test_case "sweep matches the analytic boundary" `Quick
         test_sweep_analytic;
       Alcotest.test_case "sweep points bit-identical to cold solves" `Quick

@@ -193,35 +193,6 @@ let admission_bound () =
   Alcotest.(check bool) "drained, admits again" true
     (Server.Admission.try_push q 4)
 
-(* ------------------------------------------------------------------ *)
-(* Quantile bisection.                                                 *)
-
-let quantile_search () =
-  (* eval x = x/10 on (0, 10]: the least x with eval x >= 0.5 is 5. *)
-  let evals = ref [] in
-  let eval x =
-    evals := x :: !evals;
-    x /. 10.0
-  in
-  let o =
-    Server.Quantile.search ~eval ~target:0.5 ~hi:10.0 ~tolerance:1e-9
-  in
-  (match o.Server.Quantile.value with
-   | Some v -> Alcotest.(check (float 1e-8)) "least bound" 5.0 v
-   | None -> Alcotest.fail "no bound found");
-  Alcotest.(check int) "evaluation count" (List.length !evals)
-    o.Server.Quantile.evaluations;
-  List.iter (fun x -> assert (x > 0.0)) !evals;
-  (* Unreachable target: reported as None with the achieved level. *)
-  let o = Server.Quantile.search ~eval ~target:2.0 ~hi:10.0 ~tolerance:1e-9 in
-  Alcotest.(check bool) "unreachable" true (o.Server.Quantile.value = None);
-  Alcotest.(check (float 1e-12)) "achieved at hi" 1.0
-    o.Server.Quantile.achieved;
-  Alcotest.check_raises "hi <= 0"
-    (Invalid_argument "Quantile.search: hi must be positive and finite")
-    (fun () ->
-      ignore (Server.Quantile.search ~eval ~target:0.5 ~hi:0.0 ~tolerance:1e-9))
-
 (* The quantile request against the service agrees with inverting the
    checker by hand: eval at the returned bound reaches the target, and
    just below it falls short. *)
@@ -420,7 +391,7 @@ let evict_in_flight () =
   let query = Logic.Parser.query "P=? ( F[t<=2] doze )" in
   let ctx, memo =
     match entry.Server.Registry.payload with
-    | Server.Registry.Explicit { ctx; memo; _ } -> (ctx, memo)
+    | Server.Registry.Checked { ctx; memo; _ } -> (ctx, memo)
     | _ -> Alcotest.fail "expected an explicit entry"
   in
   let before = Checker.eval_query ~memo ctx query in
@@ -938,7 +909,6 @@ let suite =
       QCheck_alcotest.to_alcotest protocol_wire_roundtrip;
       QCheck_alcotest.to_alcotest protocol_fuzz;
       Alcotest.test_case "admission: bound and FIFO" `Quick admission_bound;
-      Alcotest.test_case "quantile: bisection" `Quick quantile_search;
       Alcotest.test_case "quantile: request vs hand inversion" `Quick
         quantile_request;
       Alcotest.test_case "frontier: request vs hand solves" `Quick
