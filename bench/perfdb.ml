@@ -70,6 +70,15 @@ let tracked_multiprocessor ~n_processors =
   in
   Models.Multiprocessor.tracked_performability c ~t:10.0 ~r:50.0
 
+(* The 120 x 120 .gcm grid (14,641 reachable states) of the explore
+   kernels. *)
+let grid_120 () =
+  match
+    Lang.Gcm.of_string (Models.Gcm_examples.grid ~frontier_at:40 ~n:120 ())
+  with
+  | Ok succ -> succ
+  | Error message -> failwith message
+
 let workloads =
   [ { name = "spmv";
       descr = "CSR SpMV x.P and P.x on the 512-state tracked multiprocessor";
@@ -157,12 +166,7 @@ let workloads =
       descr = "sliding-window truncated uniformisation on the .gcm grid";
       prepare =
         (fun () ->
-          let src = Models.Gcm_examples.grid ~frontier_at:40 ~n:120 () in
-          let succ =
-            match Lang.Gcm.of_string src with
-            | Ok succ -> succ
-            | Error message -> failwith message
-          in
+          let succ = grid_120 () in
           let classify s =
             if succ.Explore.Succ.holds s "frontier" then
               Explore.Windowed.Absorb { goal = true }
@@ -178,7 +182,19 @@ let workloads =
                    ~init:[ (succ.Explore.Succ.initial, 1.0) ]
                    ~t:12.0 ~reward_bound:None space
                   : Explore.Windowed.outcome)
-            done) } ]
+            done) };
+    { name = "explore_expand";
+      descr = "cold Space.close of the .gcm grid: successors and interning";
+      prepare =
+        (fun () ->
+          let succ = grid_120 () in
+          fun () ->
+            (* Every reachable state expanded once: the expansion cost
+               the windowed_transient kernel pays per newly seen state,
+               without the sweep. *)
+            match Explore.Space.close (Explore.Space.create succ) with
+            | Ok () -> ()
+            | Error n -> failwith (Printf.sprintf "grid capped at %d" n)) } ]
 
 let workload_names = List.map (fun w -> w.name) workloads
 

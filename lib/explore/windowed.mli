@@ -38,7 +38,19 @@
     leaving the window are already covered by [delta].  When the bound
     is {e active} ([rho_max * t > r]) the engine stops and reports
     {!Reward_bound_active}; the caller falls back to an explicit
-    occupation-time solve on the materialised state space. *)
+    occupation-time solve on the materialised state space.
+
+    Determinism: the window is kept sorted by the rank at which the
+    solve first saw each state (as an initial state, or as a successor
+    of a state it visited), not by the state's id in the {!Space.t}, and
+    every accumulation walks it in that order.  The result is a function
+    of the model and the arguments alone: a warm space (one that earlier
+    solves filled in another order) gives bit-identical answers and
+    statistics to a cold one.  On a cold space ranks and ids coincide.
+
+    Cost: a uniformisation step allocates nothing.  A state's first
+    visit in a solve may expand it ({!Space.expand}) and grow the
+    solve's id-indexed scratch, which doubles as the space grows. *)
 
 type class_ =
   | Transient of { counts : bool }

@@ -104,6 +104,19 @@ let rec beval (e : texpr) : int array -> bool =
   | TInt _ | TFloat _ | TVar _ | TNeg _ | TArith _ | TDiv _ | TMinMax _ ->
     assert false
 
+type assign = {
+  idx : int;
+  vpos : Ast.pos;
+  value : int array -> int;
+  var : var;
+}
+
+type choice = {
+  rate_pos : Ast.pos;
+  rate : int array -> float;
+  assigns : assign array;
+}
+
 let compile (p : program) : Explore.Succ.t =
   let n_vars = Array.length p.vars in
   let var_names = Array.map (fun v -> v.name) p.vars in
@@ -112,83 +125,69 @@ let compile (p : program) : Explore.Succ.t =
       (List.init n_vars (fun i -> Printf.sprintf "%s=%d" var_names.(i) s.(i)))
   in
   let initial = Array.map (fun v -> v.init) p.vars in
-  let compiled_commands =
-    List.map
-      (fun c ->
-        let guard = beval c.guard in
-        let choices =
-          List.map
-            (fun (rate, assigns) ->
-              let rate_pos = rate.pos in
-              let rate = feval rate in
-              let assigns =
-                List.map
-                  (fun (idx, value) ->
-                    (idx, value.pos, ieval value, p.vars.(idx)))
-                  assigns
-              in
-              (rate_pos, rate, assigns))
-            c.choices
-        in
-        (guard, choices))
-      p.commands
+  let commands =
+    Array.of_list
+      (List.map
+         (fun c ->
+           let choice (rate, assigns) =
+             let assign (idx, value) =
+               { idx; vpos = value.pos; value = ieval value; var = p.vars.(idx) }
+             in
+             { rate_pos = rate.pos; rate = feval rate;
+               assigns = Array.of_list (List.map assign assigns) }
+           in
+           (beval c.guard, Array.of_list (List.map choice c.choices)))
+         p.commands)
   in
-  let successors s =
-    (* Accumulate (target, rate) with duplicate targets merged, keeping
-       first-seen order so exploration stays deterministic. *)
-    let acc = ref [] in
-    let add target rate =
-      let rec bump = function
-        | [] -> [ (target, ref rate) ]
-        | (t, r) :: rest when t = target ->
-          r := !r +. rate;
-          (t, r) :: rest
-        | pair :: rest -> pair :: bump rest
-      in
-      acc := bump !acc
-    in
-    List.iter
-      (fun (guard, choices) ->
-        if guard s then
-          List.iter
-            (fun (rate_pos, rate, assigns) ->
-              let r = rate s in
-              if r <> 0.0 then begin
-                if not (r > 0.0 && Float.is_finite r) then
-                  fail_runtime rate_pos
-                    "transition rate evaluates to %g in state %s" r
-                    (describe s);
-                let target = Array.copy s in
-                List.iter
-                  (fun (idx, vpos, value, var) ->
-                    let v = value s in
-                    if v < var.lo || v > var.hi then
-                      fail_runtime vpos
-                        "update sets %s=%d outside [%d..%d] in state %s"
-                        var.name v var.lo var.hi (describe s);
-                    target.(idx) <- v)
-                  assigns;
-                if target <> s then add target r
-              end)
-            choices)
-      compiled_commands;
-    List.rev_map (fun (t, r) -> (t, !r)) !acc |> List.rev
+  let successors s (buf : Explore.Succ.buffer) =
+    (* Each candidate target is built in place in the buffer's next row;
+       [Succ.add] drops it as a self-loop, merges it into an equal
+       earlier row (first-seen order), or keeps it. *)
+    buf.count <- 0;
+    for i = 0 to Array.length commands - 1 do
+      let guard, choices = commands.(i) in
+      if guard s then
+        for j = 0 to Array.length choices - 1 do
+          let c = choices.(j) in
+          let r = c.rate s in
+          if r <> 0.0 then begin
+            if not (r > 0.0 && Float.is_finite r) then
+              fail_runtime c.rate_pos
+                "transition rate evaluates to %g in state %s" r (describe s);
+            let off = Explore.Succ.candidate buf in
+            let cells = buf.targets in
+            Array.blit s 0 cells off n_vars;
+            for k = 0 to Array.length c.assigns - 1 do
+              let { idx; vpos; value; var } = c.assigns.(k) in
+              let v = value s in
+              if v < var.lo || v > var.hi then
+                fail_runtime vpos
+                  "update sets %s=%d outside [%d..%d] in state %s" var.name v
+                  var.lo var.hi (describe s);
+              cells.(off + idx) <- v
+            done;
+            Explore.Succ.add buf s r
+          end
+        done
+    done
   in
   let reward_items =
-    List.map (fun (g, v) -> (v.pos, beval g, feval v)) p.reward_items
+    Array.of_list
+      (List.map (fun (g, v) -> (v.pos, beval g, feval v)) p.reward_items)
   in
   let reward s =
-    List.fold_left
-      (fun acc (vpos, guard, value) ->
-        if guard s then begin
-          let v = value s in
-          if not (v >= 0.0 && Float.is_finite v) then
-            fail_runtime vpos "reward evaluates to %g in state %s" v
-              (describe s);
-          acc +. v
-        end
-        else acc)
-      0.0 reward_items
+    let acc = ref 0.0 in
+    for i = 0 to Array.length reward_items - 1 do
+      let vpos, guard, value = reward_items.(i) in
+      if guard s then begin
+        let v = value s in
+        if not (v >= 0.0 && Float.is_finite v) then
+          fail_runtime vpos "reward evaluates to %g in state %s" v
+            (describe s);
+        acc := !acc +. v
+      end
+    done;
+    !acc
   in
   let labels = List.map (fun (name, f) -> (name, beval f)) p.labels in
   let holds s a =

@@ -173,7 +173,7 @@ let eval_uncached ?telemetry ?cancel ~epsilon ~limit t
     Numeric (path_probability ?telemetry ?cancel ~epsilon ~limit t path)
   | Logic.Ast.Formula (Logic.Ast.Prob (cmp, p, path)) ->
     let a = path_probability ?telemetry ?cancel ~epsilon ~limit t path in
-    Boolean (Logic.Ast.compare_holds cmp a.value p, Some a)
+    Boolean (Logic.Ast.compare_holds cmp p a.value, Some a)
   | Logic.Ast.Formula f ->
     let pred = predicate t f in
     Boolean (pred t.succ.Explore.Succ.initial, None)
