@@ -52,13 +52,17 @@ type workload = {
   prepare : unit -> unit -> unit;
 }
 
-let q3_problem ~r =
-  let m = Models.Adhoc.mrm () in
+(* Sat Phi and Sat Psi of the paper's Q3 on the ad hoc model. *)
+let q3_masks () =
   let l = Models.Adhoc.labeling () in
   let idle = Markov.Labeling.sat l "call_idle" in
   let doze = Markov.Labeling.sat l "doze" in
   let phi = Array.mapi (fun i a -> a || doze.(i)) idle in
-  let psi = Markov.Labeling.sat l "call_initiated" in
+  (phi, Markov.Labeling.sat l "call_initiated")
+
+let q3_problem ~r =
+  let m = Models.Adhoc.mrm () in
+  let phi, psi = q3_masks () in
   let red = Perf.Reduced.reduce m ~phi ~psi in
   let init = Linalg.Vec.unit 9 Models.Adhoc.initial_state in
   Perf.Reduced.problem red ~init ~time_bound:24.0 ~reward_bound:r
@@ -103,6 +107,21 @@ let workloads =
           let p = q3_problem ~r:600.0 in
           fun () ->
             ignore (Perf.Sericola.solve ~epsilon:1e-7 p : float)) };
+    { name = "sericola_rows";
+      descr = "ad hoc Q3 reduction pipeline through the rows entry: three \
+               rows, one recursion";
+      prepare =
+        (fun () ->
+          let phi, psi = q3_masks () in
+          let pipeline = Perf.Reduction.prepare (Models.Adhoc.mrm ()) ~phi ~psi in
+          let solve_rows =
+            Perf.Engine.solve_rows (Perf.Engine.Occupation_time { epsilon = 1e-7 })
+          in
+          fun () ->
+            ignore
+              (Perf.Reduction.until_rows_on pipeline solve_rows ~phi ~psi
+                 ~time_bound:24.0 ~reward_bound:600.0
+                : Linalg.Vec.t)) };
     { name = "discretization";
       descr = "Tijms-Veldman stepper, d = 1/32, on the ad hoc Q3 problem";
       prepare =

@@ -215,7 +215,7 @@ let until_reward_bounded ctx ~phi ~psi ~reward_bound =
 
 let until_both_bounded memo ctx ~phi ~psi ~time_bound ~reward_bound =
   let solve =
-    Perf.Engine.solve ~pool:ctx.pool ?telemetry:ctx.telemetry
+    Perf.Engine.solve_rows ~pool:ctx.pool ?telemetry:ctx.telemetry
       ?cancel:ctx.cancel ctx.engine
   in
   match memo with
@@ -224,7 +224,7 @@ let until_both_bounded memo ctx ~phi ~psi ~time_bound ~reward_bound =
        transform and the engine.  Per-state answers come back through
        the pipeline's map (Lumping.lower composed with the prune map),
        so the Sat-set translation is transparent to nested formulas. *)
-    Perf.Reduction.until_probabilities_via ~config:ctx.reduction
+    Perf.Reduction.until_rows_via ~config:ctx.reduction
       ?telemetry:ctx.telemetry ~pool:ctx.pool solve ctx.mrm ~phi ~psi
       ~time_bound ~reward_bound
   | Some m ->

@@ -37,19 +37,10 @@ let copy_into (src : t) (dst : t) =
   check_lengths "copy_into" src dst;
   Bigarray.Array1.blit src dst
 
-(* Plain index loops instead of Array1.sub + blit/fill: sub allocates a
-   proxy bigarray, and these run inside steady-state solver loops. *)
-let blit_range (src : t) src_pos (dst : t) dst_pos len =
-  if len < 0 || src_pos < 0 || dst_pos < 0
-     || src_pos + len > length src || dst_pos + len > length dst
-  then invalid_arg "Vec.blit_range: range out of bounds";
-  for k = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set dst (dst_pos + k)
-      (Bigarray.Array1.unsafe_get src (src_pos + k))
-  done
-
 let fill (v : t) x = Bigarray.Array1.fill v x
 
+(* A plain index loop instead of Array1.sub + fill: sub allocates a
+   proxy bigarray, and this runs inside steady-state solver loops. *)
 let fill_range (v : t) pos len x =
   if len < 0 || pos < 0 || pos + len > length v then
     invalid_arg "Vec.fill_range: range out of bounds";

@@ -37,11 +37,6 @@ val copy : t -> t
 val copy_into : t -> t -> unit
 (** [copy_into src dst] overwrites [dst] with [src]; lengths must agree. *)
 
-val blit_range : t -> int -> t -> int -> int -> unit
-(** [blit_range src src_pos dst dst_pos len] copies [len] entries; no
-    intermediate allocation (safe for aliased buffers when the ranges do
-    not overlap or [dst_pos <= src_pos]). *)
-
 val fill : t -> float -> unit
 
 val fill_range : t -> int -> int -> float -> unit

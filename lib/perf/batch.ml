@@ -33,14 +33,14 @@ let reduction t ?config ?telemetry m ~phi ~psi =
     (Array.copy phi, Array.copy psi)
     (fun () -> Reduction.prepare_on ?config ?telemetry (reduced t m ~phi ~psi))
 
-let until_probabilities t ?config ?telemetry ?pool solve m ~phi ~psi
+let until_probabilities t ?config ?telemetry ?pool solve_rows m ~phi ~psi
     ~time_bound ~reward_bound =
   let v =
     Numerics.Memo.find_or_compute t.lock t.until_tbl
       (Array.copy phi, Array.copy psi, time_bound, reward_bound)
       (fun () ->
         let r = reduction t ?config ?telemetry m ~phi ~psi in
-        Reduction.until_probabilities_on r ?pool ?telemetry solve ~phi ~psi
+        Reduction.until_rows_on r ?pool ?telemetry solve_rows ~phi ~psi
           ~time_bound ~reward_bound)
   in
   Linalg.Vec.copy v

@@ -54,15 +54,16 @@ val reduction :
 
 val until_probabilities :
   t -> ?config:Reduction.config -> ?telemetry:Telemetry.t ->
-  ?pool:Parallel.Pool.t -> (Problem.t -> float) -> Markov.Mrm.t ->
+  ?pool:Parallel.Pool.t -> Reduction.rows_solver -> Markov.Mrm.t ->
   phi:bool array -> psi:bool array -> time_bound:float ->
   reward_bound:float -> Linalg.Vec.t
-(** Memoised {!Reduction.until_probabilities_on} over the cached
-    pipeline, keyed by [(phi, psi, time_bound, reward_bound)].  The
-    solver argument is only invoked on a miss; callers must pass a
-    solver that is a deterministic function of the problem (all three
-    Section 4 engines are).  Returns a fresh copy of the cached vector,
-    so callers may mutate their result freely. *)
+(** Memoised {!Reduction.until_rows_on} over the cached pipeline, keyed
+    by [(phi, psi, time_bound, reward_bound)].  The solver argument
+    (typically [Engine.solve_rows spec]) is only invoked on a miss;
+    callers must pass a solver that is a deterministic function of the
+    problem and rows (all three Section 4 engines are).  Returns a fresh
+    copy of the cached vector, so callers may mutate their result
+    freely. *)
 
 val counters : t -> (string * counters) list
 (** Current statistics, sorted by cache name: [\[("reduced", _);

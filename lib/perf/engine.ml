@@ -75,6 +75,17 @@ let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
         Sericola.solve ~epsilon ?pool ?telemetry ?cancel p
       | Windowed _ -> assert false
 
+let solve_rows ?pool ?telemetry ?cancel spec (p : Problem.t) ~rows =
+  match spec with
+  | Occupation_time { epsilon }
+    when not (Problem.reward_trivially_satisfied p) ->
+    Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
+    Sericola.solve_rows ~epsilon ?pool ?telemetry ?cancel p ~rows
+  | _ ->
+    Array.map
+      (fun b -> solve ?pool ?telemetry ?cancel spec (Problem.from_state p b))
+      rows
+
 let of_string text =
   match String.split_on_char ':' text with
   | [ "sericola" ] | [ "occupation-time" ] -> Ok default

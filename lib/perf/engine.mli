@@ -62,6 +62,16 @@ val solve :
     {!Numerics.Cancel.Cancelled} without touching any cache, an unfired
     one never changes a result. *)
 
+val solve_rows :
+  ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
+  ?cancel:Numerics.Cancel.t -> spec -> Problem.t -> rows:int array ->
+  float array
+(** [solve_rows spec p ~rows] is [solve spec (Problem.from_state p b)] for
+    every state [b] of [rows], bit for bit.  The occupation-time engine
+    answers all rows from one recursion ({!Sericola.solve_rows}); the other
+    engines, and problems whose reward bound cannot bite, run one {!solve}
+    per row.  The initial distribution of [p] is ignored. *)
+
 val of_string : string -> (spec, string) result
 (** Parse the CLI syntax shared by every front-end ([csrl-check]'s and
     [csrl-serve]'s [--engine]): [sericola[:eps]] (alias

@@ -23,6 +23,10 @@ let of_initial_state mrm ~init ~goal ~time_bound ~reward_bound =
   let n = Markov.Mrm.n_states mrm in
   make mrm ~init:(Linalg.Vec.unit n init) ~goal ~time_bound ~reward_bound
 
+let from_state p b =
+  of_initial_state p.mrm ~init:b ~goal:p.goal ~time_bound:p.time_bound
+    ~reward_bound:p.reward_bound
+
 let reward_trivially_satisfied p =
   (* With impulse rewards the accumulated reward has no a-priori cap (the
      number of jumps is unbounded), so nothing is trivially satisfied. *)

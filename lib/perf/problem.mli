@@ -33,6 +33,10 @@ val of_initial_state :
   reward_bound:float -> t
 (** Point-mass initial distribution. *)
 
+val from_state : t -> int -> t
+(** [from_state p b] asks [p]'s question from the point mass at state
+    [b]: {!of_initial_state} with [p]'s model, goal and bounds. *)
+
 val reward_trivially_satisfied : t -> bool
 (** [rho_max *. t <= r] on an impulse-free model: the reward bound can
     never be exceeded, so the problem degenerates to ordinary transient

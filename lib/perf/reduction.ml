@@ -174,11 +174,12 @@ let prepare ?config ?telemetry m ~phi ~psi =
    successor-closed set carrying all the probability mass, so the
    restriction is exact.  Skipped (input returned physically) when
    nothing is unreachable or the model carries impulses (the restricted
-   impulse matrix is not worth rebuilding for a cost optimisation). *)
+   impulse matrix is not worth rebuilding for a cost optimisation).
+   Also returns the old -> new state index map of the kept states. *)
 
 let restrict_to_reachable ?telemetry (p : Problem.t) =
   let mrm = p.Problem.mrm in
-  if Markov.Mrm.has_impulses mrm then p
+  if Markov.Mrm.has_impulses mrm then (p, Fun.id)
   else begin
     let n = Markov.Mrm.n_states mrm in
     let support = ref [] in
@@ -189,7 +190,7 @@ let restrict_to_reachable ?telemetry (p : Problem.t) =
     let reachable = Graph.Reach.forward (Markov.Ctmc.graph chain) !support in
     let dropped = ref 0 in
     Array.iter (fun b -> if not b then incr dropped) reachable;
-    if !dropped = 0 then p
+    if !dropped = 0 then (p, Fun.id)
     else begin
       let map = Array.make n (-1) in
       let kept = ref 0 in
@@ -217,8 +218,9 @@ let restrict_to_reachable ?telemetry (p : Problem.t) =
       done;
       Telemetry.add telemetry "reduction.init_pruned_states" !dropped;
       let restricted = Markov.Mrm.of_transitions ~n:new_n !triples ~rewards in
-      Problem.make restricted ~init ~goal ~time_bound:p.Problem.time_bound
-        ~reward_bound:p.Problem.reward_bound
+      ( Problem.make restricted ~init ~goal ~time_bound:p.Problem.time_bound
+          ~reward_bound:p.Problem.reward_bound,
+        fun s -> map.(s) )
     end
   end
 
@@ -249,7 +251,7 @@ let apply ?telemetry config (p : Problem.t) =
               ~reward_bound:p.Problem.reward_bound
         in
         let before = Markov.Mrm.n_states p.Problem.mrm in
-        let p = restrict_to_reachable ?telemetry p in
+        let p, _ = restrict_to_reachable ?telemetry p in
         pruned := !pruned + (before - Markov.Mrm.n_states p.Problem.mrm);
         p
       end
@@ -284,11 +286,36 @@ let apply ?telemetry config (p : Problem.t) =
 (* ------------------------------------------------------------------ *)
 (* Until probabilities over a prepared pipeline.                       *)
 
-let until_probabilities_on r ?(pool = Parallel.Pool.sequential) ?telemetry
-    solve ~phi ~psi ~time_bound ~reward_bound =
+type rows_solver = Problem.t -> rows:int array -> float array
+
+(* The pipeline states that need a solve, grouped by the set of states
+   reachable from them.  Two states share that set exactly when they lie
+   in one strongly connected component, so the groups are the components
+   the targets fall in, each listed in ascending state order; groups come
+   in the order of their smallest target.  Without init pruning every
+   solve runs on the whole pipeline model: one group. *)
+let reachable_set_groups r targets =
+  if Array.length targets = 0 then [||]
+  else if not r.config.prune then [| targets |]
+  else begin
+    let scc = Graph.Scc.compute (Markov.Ctmc.graph (Markov.Mrm.ctmc r.mrm)) in
+    let members = Array.make scc.Graph.Scc.count [] in
+    let order = ref [] in
+    Array.iter
+      (fun b ->
+        let c = scc.Graph.Scc.component.(b) in
+        if members.(c) = [] then order := c :: !order;
+        members.(c) <- b :: members.(c))
+      targets;
+    Array.of_list
+      (List.rev_map (fun c -> Array.of_list (List.rev members.(c))) !order)
+  end
+
+let until_rows_on r ?(pool = Parallel.Pool.sequential) ?telemetry
+    (solve_rows : rows_solver) ~phi ~psi ~time_bound ~reward_bound =
   let n = Array.length r.reduced.Reduced.state_map in
   if Array.length phi <> n || Array.length psi <> n then
-    invalid_arg "Reduction.until_probabilities_on: mask length mismatch";
+    invalid_arg "Reduction.until_rows_on: mask length mismatch";
   let n_pipe = Markov.Mrm.n_states r.mrm in
   let pipe_of s = r.map.(r.reduced.Reduced.state_map.(s)) in
   (* Distinct pipeline initial states that actually need a solve: states
@@ -302,33 +329,43 @@ let until_probabilities_on r ?(pool = Parallel.Pool.sequential) ?telemetry
   for b = n_pipe - 1 downto 0 do
     if needed.(b) then targets := b :: !targets
   done;
-  let targets = Array.of_list !targets in
+  let groups = reachable_set_groups r (Array.of_list !targets) in
   let solutions = Linalg.Vec.create n_pipe in
-  (* One initial state per chunk: a solve dispatched to a busy pool runs
-     its inner kernels inline — the exact sequential code — so the
-     per-state answers are bit-identical to a sequential loop. *)
-  Parallel.Pool.parallel_for ~cutoff:1 pool ~lo:0
-    ~hi:(Array.length targets) (fun lo hi ->
-      for idx = lo to hi - 1 do
-        let b = targets.(idx) in
+  (* One group per chunk: a solve dispatched to a busy pool runs its
+     inner kernels inline — the exact sequential code — so the per-state
+     answers are bit-identical to a sequential loop. *)
+  Parallel.Pool.parallel_for ~cutoff:1 pool ~lo:0 ~hi:(Array.length groups)
+    (fun lo hi ->
+      for gi = lo to hi - 1 do
+        let group = groups.(gi) in
         let problem =
-          Problem.make r.mrm
-            ~init:(Linalg.Vec.unit n_pipe b)
-            ~goal:r.goal ~time_bound ~reward_bound
+          Problem.of_initial_state r.mrm ~init:group.(0) ~goal:r.goal
+            ~time_bound ~reward_bound
         in
-        let problem =
+        let problem, reindex =
           if r.config.prune then restrict_to_reachable ?telemetry problem
-          else problem
+          else (problem, Fun.id)
         in
-        solutions.{b} <- solve problem
+        let values = solve_rows problem ~rows:(Array.map reindex group) in
+        Array.iteri (fun j b -> solutions.{b} <- values.(j)) group
       done);
   Linalg.Vec.init n (fun s ->
       if psi.(s) then 1.0
       else if not phi.(s) then 0.0
       else solutions.{pipe_of s})
 
-let until_probabilities_via ?config ?telemetry ?pool solve m ~phi ~psi
+let until_rows_via ?config ?telemetry ?pool solve_rows m ~phi ~psi
     ~time_bound ~reward_bound =
   let r = prepare ?config ?telemetry m ~phi ~psi in
-  until_probabilities_on r ?pool ?telemetry solve ~phi ~psi ~time_bound
+  until_rows_on r ?pool ?telemetry solve_rows ~phi ~psi ~time_bound
     ~reward_bound
+
+(* A scalar solver answers rows one problem at a time. *)
+let rows_of_scalar solve p ~rows =
+  Array.map (fun b -> solve (Problem.from_state p b)) rows
+
+let until_probabilities_on r ?pool ?telemetry solve =
+  until_rows_on r ?pool ?telemetry (rows_of_scalar solve)
+
+let until_probabilities_via ?config ?telemetry ?pool solve =
+  until_rows_via ?config ?telemetry ?pool (rows_of_scalar solve)

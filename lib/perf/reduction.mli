@@ -14,7 +14,8 @@
       merging a single state would change nothing.
     - {b Init pruning.}  States unreachable from the support of the
       initial distribution carry no mass at any time and are dropped
-      (per solve, since the support varies per initial state).
+      (per reachable-set group of initial states, since the set varies
+      with the initial state).
     - {b Ordinary-lumpability quotient} via {!Markov.Lumping}, seeded
       with the (goal membership, reward rate) partition.  The Sat Phi /
       Sat Psi split is already structural after Theorem 1 (GOAL and
@@ -83,18 +84,43 @@ val apply : ?telemetry:Telemetry.t -> config -> Problem.t -> Problem.t
     unchanged.  Returns the problem {e physically unchanged} when no
     stage fires. *)
 
+type rows_solver = Problem.t -> rows:int array -> float array
+(** [solve p ~rows] answers [p]'s question from the point mass at each
+    state of [rows], ignoring [p]'s own initial distribution; for example
+    [Engine.solve_rows spec]. *)
+
+val until_rows_on :
+  t -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t -> rows_solver ->
+  phi:bool array -> psi:bool array -> time_bound:float ->
+  reward_bound:float -> Linalg.Vec.t
+(** [Prob (Phi U^{<=t}_{<=r} Psi)] for every original state, solving one
+    problem per {e reachable-set group}.  The pipeline states that need a
+    solve (amalgamation and the quotient both merge initial states, so
+    symmetric models need far fewer than there are states) are grouped
+    by the set of states reachable from them, which is shared exactly by
+    the states of one strongly connected component.  Each group's problem
+    is restricted to that set once (init pruning, when the config prunes;
+    without pruning all targets form one group on the whole pipeline
+    model), and [solve] answers all of the group's states in one call.
+    Groups are dispatched across [pool] with a cutoff of one; each
+    dispatched solve sees a busy pool and runs its kernels inline, so
+    answers are bit-identical for every pool size.  [phi] and [psi] must
+    be the masks the pipeline was prepared from. *)
+
+val until_rows_via :
+  ?config:config -> ?telemetry:Telemetry.t -> ?pool:Parallel.Pool.t ->
+  rows_solver -> Markov.Mrm.t -> phi:bool array -> psi:bool array ->
+  time_bound:float -> reward_bound:float -> Linalg.Vec.t
+(** {!prepare} + {!until_rows_on} in one call. *)
+
 val until_probabilities_on :
   t -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
   (Problem.t -> float) -> phi:bool array -> psi:bool array ->
   time_bound:float -> reward_bound:float -> Linalg.Vec.t
-(** [Prob (Phi U^{<=t}_{<=r} Psi)] for every original state, solving one
-    problem per {e distinct pipeline state} (amalgamation and the
-    quotient both merge initial states, so symmetric models need far
-    fewer solves than states).  Distinct solves are dispatched across
-    [pool] with a cutoff of one; each dispatched solve sees a busy pool
-    and runs its kernels inline, so answers are bit-identical for every
-    pool size.  [phi] and [psi] must be the masks the pipeline was
-    prepared from. *)
+(** {!until_rows_on} with a scalar solver, run once per row on
+    {!Problem.from_state}.  Answers are those of the rows form whenever
+    the rows solver agrees with the scalar one row by row (as
+    [Engine.solve_rows] does with [Engine.solve]). *)
 
 val until_probabilities_via :
   ?config:config -> ?telemetry:Telemetry.t -> ?pool:Parallel.Pool.t ->

@@ -9,9 +9,17 @@ type detail = {
 
 (* The core computes, for every layer n = 0..N and every band h, the
    vectors c(h,n,k) = C(h,n,k) . G where G is an |S| x w block of
-   right-hand-side columns (w = 1 for the solver, w = |S| with G = I for
-   the full matrix).  Blocks are stored flattened row-major: entry (i, col)
-   at [i * w + col]. *)
+   right-hand-side columns (w = 1 for the solvers, w = |S| with G = I for
+   the full matrix).  One recursion lives in three flat, state-major
+   float arrays — one per layer parity plus one for the products P . c —
+   with entry (state i, band h, k, column col) at
+
+     ((i * m + h - 1) * (N + 1) + k) * w + col
+
+   so everything one state needs in a layer is one contiguous slice.  The
+   uniformised matrix is copied into plain arrays once per solve: the
+   inner loops index them directly (a cross-module accessor would box
+   its float result). *)
 
 type context = {
   n_states : int;
@@ -19,44 +27,21 @@ type context = {
   n_bands : int;                     (* m *)
   levels : float array;              (* rho_0 = 0 < ... < rho_m *)
   level_of_state : int array;        (* index of rho(s) in levels *)
-  p : Linalg.Csr.t;                  (* uniformised DTMC *)
+  row_ptr : int array;               (* uniformised DTMC, CSR *)
+  cols : int array;
+  probs : float array;
   pool : Parallel.Pool.t;
   cancel : Numerics.Cancel.t option;
 }
 
-(* A block row is w multiply-adds per stored entry, so a modest number of
-   rows already carries enough work to dispatch. *)
+(* A state's share of a layer is w multiply-adds per stored entry and
+   (band, k) pair, so a modest number of states already carries enough
+   work to dispatch. *)
 let block_row_cutoff = 16
 
-let block_mul_rows ctx (dst : Linalg.Vec.t) (src : Linalg.Vec.t) lo hi =
-  (* Flat CSR walk through row_start/row_stop/col_at/value_at instead of
-     iter_row: the old per-row closure was the dominant allocation of the
-     whole solver (one closure per row per (h, k, layer) cell).  The
-     traversal order — stored entries ascending within each row, columns
-     ascending — is unchanged, so the sums are bit-identical. *)
-  let w = ctx.width in
-  let rp = Linalg.Csr.row_pointers ctx.p in
-  let ci = Linalg.Csr.col_indices ctx.p in
-  let vals = Linalg.Csr.values ctx.p in
-  for i = lo to hi - 1 do
-    let dst_off = i * w in
-    Linalg.Vec.fill_range dst dst_off w 0.0;
-    let start = Int32.to_int (Bigarray.Array1.unsafe_get rp i) in
-    let stop = Int32.to_int (Bigarray.Array1.unsafe_get rp (i + 1)) in
-    for pos = start to stop - 1 do
-      let v = Bigarray.Array1.unsafe_get vals pos in
-      let src_off = Int32.to_int (Bigarray.Array1.unsafe_get ci pos) * w in
-      for col = 0 to w - 1 do
-        dst.{dst_off + col} <- dst.{dst_off + col} +. (v *. src.{src_off + col})
-      done
-    done
-  done
-
-let block_mul ctx dst src =
-  (* dst <- P . src, blockwise; rows write disjoint slices of dst, so the
-     row partition is race-free and bit-identical for any pool size. *)
-  Parallel.Pool.parallel_for ~cutoff:block_row_cutoff ctx.pool ~lo:0
-    ~hi:ctx.n_states (block_mul_rows ctx dst src)
+(* Offset of c(h, n, k) at state i, column 0, in a store of [max_layer]. *)
+let offset ctx ~max_layer i h k =
+  ((((i * ctx.n_bands) + h - 1) * (max_layer + 1)) + k) * ctx.width
 
 (* log n! for n = 0..max_layer, computed once per solve: the binomial
    weights are evaluated for every (layer, k) cell, and the per-cell
@@ -94,99 +79,120 @@ let binomial_pmf_into ~lf bin n x =
     done
   end
 
-(* Runs the layered recursion, feeding each completed layer to [consume
-   layer_index cs png] where [cs h k] addresses c(h, layer, k) and [png] is
-   P^layer . G. *)
-let run_layers ctx ~g ~max_layer ~consume =
-  let m = ctx.n_bands in
-  let size = ctx.n_states * ctx.width in
-  let alloc () = Array.init (m + 1) (fun _ ->
-      Array.init (max_layer + 1) (fun _ -> Linalg.Vec.create size))
-  in
-  (* c_store.(parity).(h).(k); band index h runs 1..m (slot 0 unused). *)
-  let c_store = [| alloc (); alloc () |] in
-  let pc = alloc () in
-  let png = Linalg.Vec.copy g in
-  let png_scratch = Linalg.Vec.create size in
-  let w = ctx.width in
-  (* Layer 0: c(h,0,0)_i = g_i if rho_i >= rho_h else 0. *)
-  let cur = c_store.(0) in
-  for h = 1 to m do
-    let dst = cur.(h).(0) in
-    for i = 0 to ctx.n_states - 1 do
-      if ctx.level_of_state.(i) >= h then
-        Linalg.Vec.blit_range g (i * w) dst (i * w) w
+(* One layer at state i: the products P . c(h, layer-1, k) and
+   P^layer . G of row i, then its band interpolation.  Every element of a
+   product starts from 0.0 and adds the row's stored entries in ascending
+   order; the interpolation reads and writes state i only (the
+   cross-band bases cur(h-1, layer) and cur(h+1, 0) are at state i too),
+   with the h- and k-loops in their fixed order.  States therefore
+   partition the layer: each cell is written once, by the same
+   expression, whichever domain runs the state. *)
+let layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i =
+  let w = ctx.width and m = ctx.n_bands in
+  let stride_h = (max_layer + 1) * w in
+  let base_i = i * m * stride_h in
+  let span = layer * w in
+  let start = ctx.row_ptr.(i) and stop = ctx.row_ptr.(i + 1) - 1 in
+  (* png <- P png, row i. *)
+  let png_off = i * w in
+  Array.fill png png_off w 0.0;
+  for pos = start to stop do
+    let v = Array.unsafe_get ctx.probs pos in
+    let src = Array.unsafe_get ctx.cols pos * w in
+    for col = 0 to w - 1 do
+      Array.unsafe_set png (png_off + col)
+        (Array.unsafe_get png (png_off + col)
+        +. (v *. Array.unsafe_get png_prev (src + col)))
     done
   done;
-  consume 0 (fun h k -> c_store.(0).(h).(k)) png;
+  (* pc(h, k) <- P . c(h, layer-1, k), row i, for k < layer. *)
+  for h = 0 to m - 1 do
+    Array.fill pc (base_i + (h * stride_h)) span 0.0
+  done;
+  for pos = start to stop do
+    let v = Array.unsafe_get ctx.probs pos in
+    let base_j = Array.unsafe_get ctx.cols pos * m * stride_h in
+    for h = 0 to m - 1 do
+      let dst = base_i + (h * stride_h) and src = base_j + (h * stride_h) in
+      for x = 0 to span - 1 do
+        Array.unsafe_set pc (dst + x)
+          (Array.unsafe_get pc (dst + x)
+          +. (v *. Array.unsafe_get prev (src + x)))
+      done
+    done
+  done;
+  let li = ctx.level_of_state.(i) in
+  let rho_i = ctx.levels.(li) in
+  (* Ascending pass: bands h <= l(i) (rho_i >= rho_h), k = 0 .. layer. *)
+  for h = 1 to li do
+    let denom = rho_i -. ctx.levels.(h - 1) in
+    let a = (rho_i -. ctx.levels.(h)) /. denom in
+    let b = (ctx.levels.(h) -. ctx.levels.(h - 1)) /. denom in
+    let band = base_i + ((h - 1) * stride_h) in
+    (* base k = 0: P^layer G for the first band, else the layer's last
+       entry of the band below. *)
+    if h = 1 then Array.blit png png_off cur band w
+    else Array.blit cur (band - stride_h + span) cur band w;
+    for k = 1 to layer do
+      let dst = band + (k * w) in
+      let prev_k = dst - w in
+      for col = 0 to w - 1 do
+        Array.unsafe_set cur (dst + col)
+          ((a *. Array.unsafe_get cur (prev_k + col))
+          +. (b *. Array.unsafe_get pc (prev_k + col)))
+      done
+    done
+  done;
+  (* Descending pass: bands h > l(i) (rho_i <= rho_{h-1}),
+     k = layer .. 0. *)
+  for h = m downto li + 1 do
+    let denom = ctx.levels.(h) -. rho_i in
+    let a = (ctx.levels.(h - 1) -. rho_i) /. denom in
+    let b = (ctx.levels.(h) -. ctx.levels.(h - 1)) /. denom in
+    let band = base_i + ((h - 1) * stride_h) in
+    (* base k = layer: zero for the top band, else the first entry of
+       the band above. *)
+    if h = m then Array.fill cur (band + span) w 0.0
+    else Array.blit cur (band + stride_h) cur (band + span) w;
+    for k = layer - 1 downto 0 do
+      let dst = band + (k * w) in
+      let prev_k = dst + w in
+      for col = 0 to w - 1 do
+        Array.unsafe_set cur (dst + col)
+          ((a *. Array.unsafe_get cur (prev_k + col))
+          +. (b *. Array.unsafe_get pc (dst + col)))
+      done
+    done
+  done
+
+(* Runs the layered recursion, feeding each completed layer to [consume
+   layer cur png]: [cur] holds c(h, layer, k) at {!offset}, and [png] is
+   P^layer . G (entry (i, col) at [i * w + col]).  Both arrays are reused
+   by later layers, so the consumer must not keep them. *)
+let run_layers ctx ~g ~max_layer ~consume =
+  let n = ctx.n_states and w = ctx.width and m = ctx.n_bands in
+  let size = n * m * (max_layer + 1) * w in
+  let store = [| Array.make size 0.0; Array.make size 0.0 |] in
+  let pc = Array.make size 0.0 in
+  let pngs = [| Array.copy g; Array.make (n * w) 0.0 |] in
+  (* Layer 0: c(h,0,0)_i = g_i if rho_i >= rho_h else 0. *)
+  let cur = store.(0) in
+  for i = 0 to n - 1 do
+    for h = 1 to ctx.level_of_state.(i) do
+      Array.blit g (i * w) cur (offset ctx ~max_layer i h 0) w
+    done
+  done;
+  consume 0 cur pngs.(0);
   for layer = 1 to max_layer do
     Numerics.Cancel.check ctx.cancel;
-    let prev = c_store.((layer + 1) land 1) in
-    let cur = c_store.(layer land 1) in
-    (* png <- P png *)
-    block_mul ctx png_scratch png;
-    Linalg.Vec.copy_into png_scratch png;
-    (* pc.(h).(k) <- P . c(h, layer-1, k).  The (h, k) products are
-       independent, so they are dispatched as one flat range; block_mul's
-       own parallel_for then runs inline (the pool is already busy), which
-       gives the right granularity: many small whole-block tasks instead
-       of slivers of single blocks. *)
-    Parallel.Pool.parallel_for ~cutoff:block_row_cutoff ctx.pool ~lo:0
-      ~hi:(m * layer) (fun lo hi ->
-        for pair = lo to hi - 1 do
-          let h = (pair / layer) + 1 and k = pair mod layer in
-          block_mul_rows ctx pc.(h).(k) prev.(h).(k) 0 ctx.n_states
+    let prev = store.((layer + 1) land 1) and cur = store.(layer land 1) in
+    let png_prev = pngs.((layer + 1) land 1) and png = pngs.(layer land 1) in
+    Parallel.Pool.parallel_for ~cutoff:block_row_cutoff ctx.pool ~lo:0 ~hi:n
+      (fun lo hi ->
+        for i = lo to hi - 1 do
+          layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i
         done);
-    (* Band interpolation passes.  Every k-recursion reads and writes only
-       the slice of state i it is run for (the cross-band bases
-       cur.(h-1).(layer) and cur.(h+1).(0) are also at state i), so the
-       whole two-pass sweep parallelises over states with the h- and
-       k-loops kept in their original order per state. *)
-    Parallel.Pool.parallel_for ~cutoff:block_row_cutoff ctx.pool ~lo:0
-      ~hi:ctx.n_states (fun state_lo state_hi ->
-        for i = state_lo to state_hi - 1 do
-          let off = i * w in
-          let li = ctx.level_of_state.(i) in
-          let rho_i = ctx.levels.(li) in
-          (* Ascending pass: bands h <= l(i) (rho_i >= rho_h), k = 0 .. layer. *)
-          for h = 1 to li do
-            let denom = rho_i -. ctx.levels.(h - 1) in
-            let a = (rho_i -. ctx.levels.(h)) /. denom in
-            let b = (ctx.levels.(h) -. ctx.levels.(h - 1)) /. denom in
-            (* base k = 0 *)
-            let base = if h = 1 then png else cur.(h - 1).(layer) in
-            Linalg.Vec.blit_range base off cur.(h).(0) off w;
-            for k = 1 to layer do
-              let dst = cur.(h).(k)
-              and prev_k = cur.(h).(k - 1)
-              and stepped = pc.(h).(k - 1) in
-              for col = 0 to w - 1 do
-                dst.{off + col} <-
-                  (a *. prev_k.{off + col}) +. (b *. stepped.{off + col})
-              done
-            done
-          done;
-          (* Descending pass: bands h > l(i) (rho_i <= rho_{h-1}),
-             k = layer .. 0. *)
-          for h = m downto li + 1 do
-            let denom = ctx.levels.(h) -. rho_i in
-            let a = (ctx.levels.(h - 1) -. rho_i) /. denom in
-            let b = (ctx.levels.(h) -. ctx.levels.(h - 1)) /. denom in
-            (* base k = layer *)
-            (if h = m then Linalg.Vec.fill_range cur.(h).(layer) off w 0.0
-             else Linalg.Vec.blit_range cur.(h + 1).(0) off cur.(h).(layer) off w);
-            for k = layer - 1 downto 0 do
-              let dst = cur.(h).(k)
-              and prev_k = cur.(h).(k + 1)
-              and stepped = pc.(h).(k) in
-              for col = 0 to w - 1 do
-                dst.{off + col} <-
-                  (a *. prev_k.{off + col}) +. (b *. stepped.{off + col})
-              done
-            done
-          done
-        done);
-    consume layer (fun h k -> cur.(h).(k)) png
+    consume layer cur png
   done
 
 let make_context ?(pool = Parallel.Pool.sequential) ?cancel mrm ~width =
@@ -211,8 +217,13 @@ let make_context ?(pool = Parallel.Pool.sequential) ?cancel mrm ~width =
         find 0 (Array.length levels - 1))
   in
   let _lambda, p = Markov.Ctmc.uniformized chain in
+  let rp = Linalg.Csr.row_pointers p and ci = Linalg.Csr.col_indices p in
   { n_states = n; width; n_bands = Array.length levels - 1; levels;
-    level_of_state; p; pool; cancel }
+    level_of_state;
+    row_ptr = Array.init (n + 1) (fun i -> Int32.to_int rp.{i});
+    cols = Array.init (Linalg.Csr.nnz p) (fun pos -> Int32.to_int ci.{pos});
+    probs = Linalg.Vec.to_array (Linalg.Csr.values p);
+    pool; cancel }
 
 let select_band levels ~ratio =
   (* Largest h in 1..m with levels.(h-1) <= ratio < levels.(h); the caller
@@ -222,6 +233,23 @@ let select_band levels ~ratio =
   let h = find 1 in
   assert (h <= m);
   h
+
+(* The band h and normalised position x of the reward bound r at time t,
+   or [None] in the degenerate case r >= rho_max * t, where the reward
+   bound cannot be exceeded and the tail vanishes. *)
+let band_position levels ~t ~r =
+  let m = Array.length levels - 1 in
+  let ratio = r /. t in
+  if m = 0 || ratio >= levels.(m) then None
+  else begin
+    let h = select_band levels ~ratio in
+    Some
+      (h, (r -. (levels.(h - 1) *. t)) /. ((levels.(h) -. levels.(h - 1)) *. t))
+  end
+
+let uniformisation_rate chain =
+  let m = Markov.Ctmc.max_exit_rate chain in
+  if m > 0.0 then m else 1.0
 
 let reject_impulses name mrm =
   if Markov.Mrm.has_impulses mrm then
@@ -240,77 +268,122 @@ let record_recursion telemetry ~ctx ~max_layer =
     * ((max_layer + 1) * (max_layer + 2) / 2));
   Telemetry.record telemetry "sericola.bands" (float_of_int ctx.n_bands)
 
+let goal_vector (p : Problem.t) =
+  Array.map (fun b -> if b then 1.0 else 0.0) p.Problem.goal
+
+(* [Linalg.Vec.dot init v] where v_i = a.(off + i * stride): the same
+   products summed in the same ascending order with the same
+   compensation, so the value is bit-identical to the dot product of the
+   gathered vector. *)
+let strided_dot (init : float array) a ~off ~stride =
+  let s = ref 0.0 and comp = ref 0.0 in
+  for i = 0 to Array.length init - 1 do
+    let x = init.(i) *. a.(off + (i * stride)) in
+    let s' = !s +. x in
+    let c =
+      if Float.abs !s >= Float.abs x then (!s -. s') +. x
+      else (x -. s') +. !s
+    in
+    s := s';
+    comp := !comp +. c
+  done;
+  !s +. !comp
+
+(* sum_k bin_k c(h, layer, k) at one row, k ascending, skipping zero
+   weights, Kahan-compensated: the layer sum {!solve_detailed} forms from
+   [bin.(k) *. dot init c] when init is the unit vector of that row. *)
+let binomial_sum bin cur ~base ~layer =
+  let s = ref 0.0 and comp = ref 0.0 in
+  for k = 0 to layer do
+    let bk = bin.(k) in
+    if bk > 0.0 then begin
+      let x = bk *. cur.(base + k) in
+      let s' = !s +. x in
+      let c =
+        if Float.abs !s >= Float.abs x then (!s -. s') +. x
+        else (x -. s') +. !s
+      in
+      s := s';
+      comp := !comp +. c
+    end
+  done;
+  !s +. !comp
+
+(* Set-up of the paper's series for one reward-bounded problem: the
+   width-one context, the truncation point, the Poisson weights and
+   their telemetry. *)
+let paper_series ~epsilon ?pool ?telemetry ?cancel (p : Problem.t) ~band ~x =
+  let chain = Markov.Mrm.ctmc p.Problem.mrm in
+  let ctx = make_context ?pool ?cancel p.Problem.mrm ~width:1 in
+  let rate = uniformisation_rate chain in
+  let q = rate *. p.Problem.time_bound in
+  (* Truncation exactly as in the paper's Section 4.4: the series runs
+     over n = 0 .. N_epsilon (no left cut), and the transient
+     probabilities are accumulated simultaneously with the same
+     weights, so the displayed convergence in epsilon matches the
+     published Table 2 column. *)
+  let max_layer = Numerics.Poisson.right_truncation_point ~lambda:q ~epsilon in
+  let weights = Numerics.Fox_glynn.compute ~q ~epsilon:1e-16 in
+  Numerics.Fox_glynn.record telemetry weights;
+  Telemetry.record telemetry "uniformisation.rate" rate;
+  Telemetry.record telemetry "uniformisation.q" q;
+  Telemetry.add telemetry "uniformisation.iterations" max_layer;
+  Telemetry.record telemetry "sericola.band" (float_of_int band);
+  Telemetry.record telemetry "sericola.x" x;
+  record_recursion telemetry ~ctx ~max_layer;
+  (ctx, max_layer, weights)
+
+(* The Poisson mass actually consumed by the truncated series bounds the
+   a-posteriori truncation error — the quantity the differential tests
+   pin against the requested epsilon. *)
+let record_achieved telemetry consumed =
+  Telemetry.record telemetry "sericola.achieved_epsilon"
+    (Float.max 0.0 (1.0 -. Numerics.Kahan.sum consumed))
+
 let solve_detailed ?(epsilon = 1e-12) ?pool ?telemetry ?cancel
     (p : Problem.t) =
   let mrm = p.Problem.mrm in
   reject_impulses "Sericola.solve" mrm;
-  let chain = Markov.Mrm.ctmc mrm in
   let t = p.Problem.time_bound and r = p.Problem.reward_bound in
-  let levels = Markov.Mrm.reward_levels mrm in
-  let m = Array.length levels - 1 in
-  let ratio = r /. t in
   Telemetry.record telemetry "sericola.epsilon" epsilon;
-  if m = 0 || ratio >= levels.(m) then begin
+  match band_position (Markov.Mrm.reward_levels mrm) ~t ~r with
+  | None ->
     (* The reward bound cannot be exceeded: Pr{Y_t > r} = 0. *)
     let transient_mass =
-      Markov.Transient.reachability ~epsilon ?pool ?telemetry ?cancel chain
-        ~init:p.Problem.init ~goal:p.Problem.goal ~t
+      Markov.Transient.reachability ~epsilon ?pool ?telemetry ?cancel
+        (Markov.Mrm.ctmc mrm) ~init:p.Problem.init ~goal:p.Problem.goal ~t
     in
     { probability = transient_mass; steps = 0; band = 0; x = 0.0;
       transient_mass; tail_mass = 0.0 }
-  end
-  else begin
-    let h = select_band levels ~ratio in
-    let x = (r -. (levels.(h - 1) *. t)) /. ((levels.(h) -. levels.(h - 1)) *. t) in
-    let ctx = make_context ?pool ?cancel mrm ~width:1 in
-    let rate =
-      let m = Markov.Ctmc.max_exit_rate chain in
-      if m > 0.0 then m else 1.0
-    in
-    let q = rate *. t in
-    (* Truncation exactly as in the paper's Section 4.4: the series runs
-       over n = 0 .. N_epsilon (no left cut), and the transient
-       probabilities are accumulated simultaneously with the same
-       weights, so the displayed convergence in epsilon matches the
-       published Table 2 column. *)
-    let max_layer = Numerics.Poisson.right_truncation_point ~lambda:q ~epsilon in
-    let weights = Numerics.Fox_glynn.compute ~q ~epsilon:1e-16 in
-    Numerics.Fox_glynn.record telemetry weights;
-    Telemetry.record telemetry "uniformisation.rate" rate;
-    Telemetry.record telemetry "uniformisation.q" q;
-    Telemetry.add telemetry "uniformisation.iterations" max_layer;
-    Telemetry.record telemetry "sericola.band" (float_of_int h);
-    Telemetry.record telemetry "sericola.x" x;
-    record_recursion telemetry ~ctx ~max_layer;
-    let g =
-      Linalg.Vec.init ctx.n_states (fun i ->
-          if p.Problem.goal.(i) then 1.0 else 0.0)
+  | Some (h, x) ->
+    let ctx, max_layer, weights =
+      paper_series ~epsilon ?pool ?telemetry ?cancel p ~band:h ~x
     in
     let bin = Array.make (max_layer + 1) 0.0 in
     let lf = log_factorial_table max_layer in
     let tail = Numerics.Kahan.create () in
     let trans = Numerics.Kahan.create () in
     let consumed = Numerics.Kahan.create () in
-    let init = p.Problem.init in
-    run_layers ctx ~g ~max_layer ~consume:(fun layer cs png ->
+    let init = Linalg.Vec.to_array p.Problem.init in
+    let stride = ctx.n_bands * (max_layer + 1) in
+    run_layers ctx ~g:(goal_vector p) ~max_layer ~consume:(fun layer cur png ->
         let weight = Numerics.Fox_glynn.weight weights layer in
         if weight > 0.0 then begin
           Numerics.Kahan.add consumed weight;
-          Numerics.Kahan.add trans (weight *. Linalg.Vec.dot init png);
+          Numerics.Kahan.add trans
+            (weight *. strided_dot init png ~off:0 ~stride:1);
           binomial_pmf_into ~lf bin layer x;
           let layer_acc = Numerics.Kahan.create () in
           for k = 0 to layer do
             if bin.(k) > 0.0 then
               Numerics.Kahan.add layer_acc
-                (bin.(k) *. Linalg.Vec.dot init (cs h k))
+                (bin.(k)
+                *. strided_dot init cur
+                     ~off:(offset ctx ~max_layer 0 h k) ~stride)
           done;
           Numerics.Kahan.add tail (weight *. Numerics.Kahan.sum layer_acc)
         end);
-    (* The Poisson mass actually consumed by the truncated series bounds
-       the a-posteriori truncation error — the quantity the differential
-       tests pin against the requested epsilon. *)
-    Telemetry.record telemetry "sericola.achieved_epsilon"
-      (Float.max 0.0 (1.0 -. Numerics.Kahan.sum consumed));
+    record_achieved telemetry consumed;
     let tail_mass = Numerics.Float_utils.clamp_prob (Numerics.Kahan.sum tail) in
     let transient_mass =
       Numerics.Float_utils.clamp_prob (Numerics.Kahan.sum trans)
@@ -319,10 +392,65 @@ let solve_detailed ?(epsilon = 1e-12) ?pool ?telemetry ?cancel
       Numerics.Float_utils.clamp_prob (transient_mass -. tail_mass)
     in
     { probability; steps = max_layer; band = h; x; transient_mass; tail_mass }
-  end
 
 let solve ?epsilon ?pool ?telemetry ?cancel p =
   (solve_detailed ?epsilon ?pool ?telemetry ?cancel p).probability
+
+let solve_rows ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
+    ~rows =
+  let mrm = p.Problem.mrm in
+  reject_impulses "Sericola.solve_rows" mrm;
+  let n = Markov.Mrm.n_states mrm in
+  Array.iter
+    (fun b ->
+      if b < 0 || b >= n then invalid_arg "Sericola.solve_rows: row out of range")
+    rows;
+  let t = p.Problem.time_bound and r = p.Problem.reward_bound in
+  match band_position (Markov.Mrm.reward_levels mrm) ~t ~r with
+  | None ->
+    Array.map
+      (fun b -> solve ~epsilon ?pool ?telemetry ?cancel (Problem.from_state p b))
+      rows
+  | Some (h, x) ->
+    Telemetry.record telemetry "sericola.epsilon" epsilon;
+    let ctx, max_layer, weights =
+      paper_series ~epsilon ?pool ?telemetry ?cancel p ~band:h ~x
+    in
+    let bin = Array.make (max_layer + 1) 0.0 in
+    let lf = log_factorial_table max_layer in
+    let sums () = Array.map (fun _ -> Numerics.Kahan.create ()) rows in
+    let tail = sums () and trans = sums () in
+    let consumed = Numerics.Kahan.create () in
+    (* Row b's accumulators see exactly the terms a solve from the unit
+       distribution at b adds, in the same order: [Vec.dot (unit b) v]
+       is [v.{b}] bit for bit (every other product is +0.0, which leaves
+       a compensated sum unchanged), so the dot products become reads. *)
+    run_layers ctx ~g:(goal_vector p) ~max_layer ~consume:(fun layer cur png ->
+        let weight = Numerics.Fox_glynn.weight weights layer in
+        if weight > 0.0 then begin
+          Numerics.Kahan.add consumed weight;
+          Array.iteri
+            (fun j b -> Numerics.Kahan.add trans.(j) (weight *. png.(b)))
+            rows;
+          binomial_pmf_into ~lf bin layer x;
+          Array.iteri
+            (fun j b ->
+              let base = offset ctx ~max_layer b h 0 in
+              Numerics.Kahan.add tail.(j)
+                (weight *. binomial_sum bin cur ~base ~layer))
+            rows
+        end);
+    record_achieved telemetry consumed;
+    Array.mapi
+      (fun j _ ->
+        let tail_mass =
+          Numerics.Float_utils.clamp_prob (Numerics.Kahan.sum tail.(j))
+        in
+        let transient_mass =
+          Numerics.Float_utils.clamp_prob (Numerics.Kahan.sum trans.(j))
+        in
+        Numerics.Float_utils.clamp_prob (transient_mass -. tail_mass))
+      rows
 
 let solve_many ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
     ~reward_bounds =
@@ -331,7 +459,6 @@ let solve_many ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
   let chain = Markov.Mrm.ctmc mrm in
   let t = p.Problem.time_bound in
   let levels = Markov.Mrm.reward_levels mrm in
-  let m = Array.length levels - 1 in
   let n_bounds = Array.length reward_bounds in
   Array.iter
     (fun r ->
@@ -340,21 +467,7 @@ let solve_many ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
     reward_bounds;
   (* Band position of each requested bound; [None] marks the degenerate
      case r >= rho_max * t where the tail vanishes. *)
-  let positions =
-    Array.map
-      (fun r ->
-        let ratio = r /. t in
-        if m = 0 || ratio >= levels.(m) then None
-        else begin
-          let h = select_band levels ~ratio in
-          let x =
-            (r -. (levels.(h - 1) *. t))
-            /. ((levels.(h) -. levels.(h - 1)) *. t)
-          in
-          Some (h, x)
-        end)
-      reward_bounds
-  in
+  let positions = Array.map (fun r -> band_position levels ~t ~r) reward_bounds in
   let transient_mass =
     Markov.Transient.reachability ~epsilon ?pool ?telemetry ?cancel chain
       ~init:p.Problem.init ~goal:p.Problem.goal ~t
@@ -363,23 +476,18 @@ let solve_many ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
     Array.make n_bounds transient_mass
   else begin
     let ctx = make_context ?pool ?cancel mrm ~width:1 in
-    let rate =
-      let mx = Markov.Ctmc.max_exit_rate chain in
-      if mx > 0.0 then mx else 1.0
+    let fg =
+      Numerics.Fox_glynn.compute ~q:(uniformisation_rate chain *. t) ~epsilon
     in
-    let fg = Numerics.Fox_glynn.compute ~q:(rate *. t) ~epsilon in
     Numerics.Fox_glynn.record telemetry fg;
     let max_layer = fg.Numerics.Fox_glynn.right in
     record_recursion telemetry ~ctx ~max_layer;
-    let g =
-      Linalg.Vec.init ctx.n_states (fun i ->
-          if p.Problem.goal.(i) then 1.0 else 0.0)
-    in
     let bin = Array.make (max_layer + 1) 0.0 in
     let lf = log_factorial_table max_layer in
     let tails = Array.init n_bounds (fun _ -> Numerics.Kahan.create ()) in
-    let init = p.Problem.init in
-    run_layers ctx ~g ~max_layer ~consume:(fun layer cs _png ->
+    let init = Linalg.Vec.to_array p.Problem.init in
+    let stride = ctx.n_bands * (max_layer + 1) in
+    run_layers ctx ~g:(goal_vector p) ~max_layer ~consume:(fun layer cur _png ->
         let weight = Numerics.Fox_glynn.weight fg layer in
         if weight > 0.0 then begin
           (* Dot products once per (band, k) actually used this layer. *)
@@ -388,7 +496,9 @@ let solve_many ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
             match Hashtbl.find_opt dot_cache (h, k) with
             | Some v -> v
             | None ->
-              let v = Linalg.Vec.dot init (cs h k) in
+              let v =
+                strided_dot init cur ~off:(offset ctx ~max_layer 0 h k) ~stride
+              in
               Hashtbl.add dot_cache (h, k) v;
               v
           in
@@ -424,44 +534,38 @@ let joint_matrix ?(epsilon = 1e-12) ?pool ?telemetry ?cancel mrm ~t ~r =
   if not (t > 0.0) then invalid_arg "Sericola.joint_matrix: t must be > 0";
   if r < 0.0 then invalid_arg "Sericola.joint_matrix: r must be >= 0";
   let n = Markov.Mrm.n_states mrm in
-  let levels = Markov.Mrm.reward_levels mrm in
-  let m = Array.length levels - 1 in
-  let ratio = r /. t in
-  if m = 0 || ratio >= levels.(m) then Array.make_matrix n n 0.0
-  else begin
-    let h = select_band levels ~ratio in
-    let x = (r -. (levels.(h - 1) *. t)) /. ((levels.(h) -. levels.(h - 1)) *. t) in
+  match band_position (Markov.Mrm.reward_levels mrm) ~t ~r with
+  | None -> Array.make_matrix n n 0.0
+  | Some (h, x) ->
     let ctx = make_context ?pool ?cancel mrm ~width:n in
-    let chain = Markov.Mrm.ctmc mrm in
-    let rate =
-      let mx = Markov.Ctmc.max_exit_rate chain in
-      if mx > 0.0 then mx else 1.0
+    let fg =
+      Numerics.Fox_glynn.compute
+        ~q:(uniformisation_rate (Markov.Mrm.ctmc mrm) *. t)
+        ~epsilon
     in
-    let fg = Numerics.Fox_glynn.compute ~q:(rate *. t) ~epsilon in
     Numerics.Fox_glynn.record telemetry fg;
     let max_layer = fg.Numerics.Fox_glynn.right in
     record_recursion telemetry ~ctx ~max_layer;
     (* G = identity block. *)
-    let g = Linalg.Vec.create (n * n) in
+    let g = Array.make (n * n) 0.0 in
     for i = 0 to n - 1 do
-      g.{(i * n) + i} <- 1.0
+      g.((i * n) + i) <- 1.0
     done;
     let bin = Array.make (max_layer + 1) 0.0 in
     let lf = log_factorial_table max_layer in
     let result = Array.make_matrix n n 0.0 in
-    run_layers ctx ~g ~max_layer ~consume:(fun layer cs _png ->
+    run_layers ctx ~g ~max_layer ~consume:(fun layer cur _png ->
         let weight = Numerics.Fox_glynn.weight fg layer in
         if weight > 0.0 then begin
           binomial_pmf_into ~lf bin layer x;
-          (* Collect the layer's (scale, block) terms in ascending-k
-             order, then accumulate them row-partitioned across the
-             pool: rows are disjoint, and every cell adds its terms in
-             the same k order as the sequential loop, so the result is
+          (* Collect the layer's (scale, k) terms in ascending-k order,
+             then accumulate them row-partitioned across the pool: rows
+             are disjoint, and every cell adds its terms in the same k
+             order as the sequential loop, so the result is
              bit-identical for any pool size. *)
           let terms = ref [] in
           for k = layer downto 0 do
-            if bin.(k) > 0.0 then
-              terms := (weight *. bin.(k), cs h k) :: !terms
+            if bin.(k) > 0.0 then terms := (weight *. bin.(k), k) :: !terms
           done;
           let terms = !terms in
           Parallel.Pool.parallel_for ~cutoff:block_row_cutoff ctx.pool ~lo:0
@@ -469,9 +573,10 @@ let joint_matrix ?(epsilon = 1e-12) ?pool ?telemetry ?cancel mrm ~t ~r =
               for i = lo to hi - 1 do
                 let row = result.(i) in
                 List.iter
-                  (fun ((scale : float), (block : Linalg.Vec.t)) ->
+                  (fun ((scale : float), k) ->
+                    let off = offset ctx ~max_layer i h k in
                     for j = 0 to n - 1 do
-                      row.(j) <- row.(j) +. (scale *. block.{(i * n) + j})
+                      row.(j) <- row.(j) +. (scale *. cur.(off + j))
                     done)
                   terms
               done)
@@ -483,4 +588,3 @@ let joint_matrix ?(epsilon = 1e-12) ?pool ?telemetry ?cancel mrm ~t ~r =
           row)
       result;
     result
-  end

@@ -21,7 +21,12 @@
     recursion — [O(m N |S|)] memory instead of the paper's
     [O(N^2 |S|)]-per-layer matrices.  {!solve} uses the vector form; the
     full matrix [H(t,r)] remains available through {!joint_matrix} (and is
-    what the ablation bench compares against). *)
+    what the ablation bench compares against).
+
+    Entry [i] of the vector [c(h,n,k) = C(h,n,k) . 1_goal] is the
+    coefficient for initial state [i], so one recursion answers every
+    initial state at once: {!solve_rows}.  Every entry point runs the
+    same recursion, stored in flat state-major arrays (DESIGN.md). *)
 
 type detail = {
   probability : float;  (** [Pr{Y_t <= r, X_t in S'}] *)
@@ -36,11 +41,12 @@ val solve_detailed :
   ?epsilon:float -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
   ?cancel:Numerics.Cancel.t -> Problem.t -> detail
 (** [epsilon] (default [1e-12]) is the Poisson truncation error bound.
-    [pool] parallelises the layer recursion across its domains: the block
-    products and the per-state band interpolation partition the state
-    space, every cell of the recursion is written exactly once by the same
-    expression as in the sequential sweep, so the result is bit-identical
-    for every pool size.
+    [pool] parallelises the layer recursion across its domains: each
+    layer is partitioned by state (a state's products and its band
+    interpolation only write that state's slice), every cell of the
+    recursion is written exactly once by the same expression as in the
+    sequential sweep, so the result is bit-identical for every pool
+    size.
 
     [telemetry] records the counters [sericola.layers] and
     [sericola.cells] (blocks of the [C(h,n,k)] recursion actually
@@ -60,6 +66,20 @@ val solve :
   ?epsilon:float -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
   ?cancel:Numerics.Cancel.t -> Problem.t -> float
 (** Just the probability. *)
+
+val solve_rows :
+  ?epsilon:float -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
+  ?cancel:Numerics.Cancel.t -> Problem.t -> rows:int array -> float array
+(** [solve_rows p ~rows] is, for every state [b] of [rows], the
+    probability {!solve} returns from the unit initial distribution at
+    [b] — bit for bit — computed from {e one} [C(h,n,k)] recursion.  Each
+    row accumulates [weight . png_b] and [bin_k . c(h,n,k)_b] in exactly
+    the order {!solve} accumulates [weight . (init . png)] and
+    [bin_k . (init . c(h,n,k))], and [Linalg.Vec.dot (unit b) v] is
+    [v.{b}] exactly.  The initial distribution of [p] is ignored.  In the
+    degenerate case [r >= rho_max * t] each row is a separate transient
+    solve, as in {!solve}.  Telemetry counts the one recursion.  Raises
+    [Invalid_argument] on a row outside the state space. *)
 
 val solve_many :
   ?epsilon:float -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->

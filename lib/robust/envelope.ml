@@ -102,9 +102,9 @@ let precise_until ?pool ?telemetry ?cancel ~engine ~reduction ~epsilon m ~phi
     Markov.Transient.reachability_all ~epsilon ~pool ?telemetry ?cancel
       absorbed ~goal:psi ~t:time_bound
   | Some reward_bound ->
-    let solve = Perf.Engine.solve ~pool ?telemetry ?cancel engine in
-    Perf.Reduction.until_probabilities_via ~config:reduction ?telemetry ~pool
-      solve m ~phi ~psi ~time_bound ~reward_bound
+    let solve = Perf.Engine.solve_rows ~pool ?telemetry ?cancel engine in
+    Perf.Reduction.until_rows_via ~config:reduction ?telemetry ~pool solve m
+      ~phi ~psi ~time_bound ~reward_bound
 
 let until ?pool ?telemetry ?cancel ?rate ?(engine = Perf.Engine.default)
     ?(reduction = Perf.Reduction.default) ~epsilon imrm ~phi_must ~phi_may

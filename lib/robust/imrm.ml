@@ -12,6 +12,8 @@ type t = {
          engines on the very same value, bit for bit *)
 }
 
+(* [what] names the entry; it is only formatted when the check fails,
+   so validating a large model builds no strings. *)
 let check_interval what lo hi =
   if
     (not (Float.is_finite lo)) || (not (Float.is_finite hi))
@@ -19,7 +21,7 @@ let check_interval what lo hi =
   then
     invalid_arg
       (Printf.sprintf "Imrm: %s needs 0 <= lo <= hi (finite), got [%g, %g]"
-         what lo hi)
+         (what ()) lo hi)
 
 let make ~n ~transitions ~rewards =
   if n <= 0 then invalid_arg "Imrm.make: n must be positive";
@@ -27,7 +29,7 @@ let make ~n ~transitions ~rewards =
     invalid_arg "Imrm.make: rewards length must equal the state count";
   Array.iteri
     (fun s (lo, hi) ->
-      check_interval (Printf.sprintf "reward of state %d" s) lo hi)
+      check_interval (fun () -> Printf.sprintf "reward of state %d" s) lo hi)
     rewards;
   let kept =
     List.filter
@@ -38,13 +40,14 @@ let make ~n ~transitions ~rewards =
         if s = s' then
           invalid_arg
             (Printf.sprintf "Imrm.make: self-loop on state %d" s);
-        check_interval (Printf.sprintf "rate %d -> %d" s s') lo hi;
+        check_interval (fun () -> Printf.sprintf "rate %d -> %d" s s') lo hi;
         hi > 0.0)
       transitions
   in
   let sorted =
     List.sort
-      (fun (a, a', _, _) (b, b', _, _) -> compare (a, a') (b, b'))
+      (fun ((a : int), (a' : int), _, _) (b, b', _, _) ->
+        if a <> b then Int.compare a b else Int.compare a' b')
       kept
   in
   let rec check_dups = function

@@ -807,10 +807,11 @@ let serve_listeners t listeners =
           let input = Unix.in_channel_of_descr client
           and output = Unix.out_channel_of_descr client in
           let outcome = serve_channels t ~input ~output in
-          (* The channels share one descriptor: close the out side
-             (flushes), ignore the in side's redundant close. *)
+          (* The channels share one descriptor: closing the out side
+             flushes and closes it.  The in side is left to the GC, which
+             never closes descriptors: a second close could hit the
+             number after accept(2) has handed it to a new connection. *)
           close_out_noerr output;
-          close_in_noerr input;
           match outcome with
           | Shutdown -> Atomic.set stopping true
           | Eof -> ())

@@ -324,7 +324,6 @@ let test_kernel_allocation () =
   check "scale_into" (fun () -> Linalg.Vec.scale_into 0.5 x z);
   check "scale_in_place" (fun () -> Linalg.Vec.scale_in_place 1.0 y);
   check "copy_into" (fun () -> Linalg.Vec.copy_into x z);
-  check "blit_range" (fun () -> Linalg.Vec.blit_range x 10 z 20 100);
   check "fill_range" (fun () -> Linalg.Vec.fill_range z 0 n 0.0);
   (* Float-returning entry points box their result (a cross-module call
      returns a boxed float on the vanilla compiler) — that one box is the

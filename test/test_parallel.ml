@@ -164,6 +164,25 @@ let solve_with ~pool p =
       done;
       Perf.Discretization.solve ~step:!d ?pool p ) ]
 
+(* The occupation-time recursion partitions every layer by state, so its
+   one-recursion entry points must agree bitwise at every pool size.  A
+   24-state model takes the state range past the dispatch cutoff. *)
+let sericola_entry_points ~pool p =
+  let mrm = p.Perf.Problem.mrm in
+  let t = p.Perf.Problem.time_bound and r = p.Perf.Problem.reward_bound in
+  let rows = Array.init (Markov.Mrm.n_states mrm) Fun.id in
+  let bits = Array.map Int64.bits_of_float in
+  [ ("solve_rows", bits (Perf.Sericola.solve_rows ~epsilon:1e-12 ?pool p ~rows));
+    ( "solve_many",
+      bits
+        (Perf.Sericola.solve_many ~epsilon:1e-12 ?pool p
+           ~reward_bounds:[| 0.5 *. r; r; 1.5 *. r |]) );
+    ( "joint_matrix",
+      bits
+        (Array.concat
+           (Array.to_list
+              (Perf.Sericola.joint_matrix ~epsilon:1e-12 ?pool mrm ~t ~r))) ) ]
+
 let prop_engines_pool_invariant =
   QCheck2.Test.make ~count:8 ~name:"engines agree across jobs in {1,2,4}"
     QCheck2.Gen.(int_range 0 10_000)
@@ -172,7 +191,12 @@ let prop_engines_pool_invariant =
         Models.Random_mrm.generate_problem ~seed:(Int64.of_int seed)
           Models.Random_mrm.default
       in
+      let big =
+        Models.Random_mrm.generate_problem ~seed:(Int64.of_int seed)
+          { Models.Random_mrm.default with n_states = 24 }
+      in
       let sequential = solve_with ~pool:None p in
+      let sequential_entry_points = sericola_entry_points ~pool:None big in
       List.for_all
         (fun jobs ->
           with_pool ~jobs @@ fun pool ->
@@ -187,7 +211,15 @@ let prop_engines_pool_invariant =
                   "%s: jobs=%d gives %.17g, sequential %.17g (seed %d)" name
                   jobs b a seed
               else true)
-            sequential pooled)
+            sequential pooled
+          && List.for_all2
+               (fun (name, a) (_, b) ->
+                 a = b
+                 || QCheck2.Test.fail_reportf
+                      "sericola %s: jobs=%d differs from sequential (seed %d)"
+                      name jobs seed)
+               sequential_entry_points
+               (sericola_entry_points ~pool:(Some pool) big))
         [ 1; 2; 4 ])
 
 let suite =

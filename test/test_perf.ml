@@ -53,7 +53,10 @@ let test_problem_validation () =
       ~time_bound:2.0 ~reward_bound:1.0
   in
   Alcotest.(check bool) "nontrivial" false
-    (Perf.Problem.reward_trivially_satisfied p)
+    (Perf.Problem.reward_trivially_satisfied p);
+  Alcotest.check_raises "row out of range"
+    (Invalid_argument "Sericola.solve_rows: row out of range") (fun () ->
+      ignore (Perf.Sericola.solve_rows p ~rows:[| 0; 2 |]))
 
 let test_reduced_case_study () =
   let m = Models.Adhoc.mrm () in
@@ -362,6 +365,61 @@ let prop_sericola_vs_simulation =
           iv.Sim.Estimate.mean iv.Sim.Estimate.half_width seed
       else true)
 
+(* One occupation-time recursion answers every row of a problem, and
+   the other engines loop over the rows: either way [Engine.solve_rows]
+   must return, bit for bit, what [Engine.solve] returns from each row's
+   unit initial distribution.  Half the cases lift the reward bound out
+   of reach, which takes the transient shortcut row by row. *)
+let prop_solve_rows_bit_identical =
+  QCheck2.Test.make ~count:25
+    ~name:"solve_rows equals per-row solves bitwise, every engine"
+    QCheck2.Gen.(
+      triple (int_range 0 10_000) bool
+        (list_size (int_range 1 8) (int_range 0 1_000)))
+    (fun (seed, unbounded, rows) ->
+      let p =
+        Models.Random_mrm.generate_problem ~seed:(Int64.of_int seed)
+          Models.Random_mrm.default
+      in
+      let mrm = p.Perf.Problem.mrm and t = p.Perf.Problem.time_bound in
+      let p =
+        if not unbounded then p
+        else
+          Perf.Problem.make mrm ~init:p.Perf.Problem.init
+            ~goal:p.Perf.Problem.goal ~time_bound:t
+            ~reward_bound:((Markov.Mrm.max_reward mrm *. t) +. 1.0)
+      in
+      let n = Markov.Mrm.n_states mrm in
+      let rows = Array.of_list (List.map (fun b -> b mod n) rows) in
+      let step =
+        let limit = Perf.Discretization.max_stable_step p in
+        let d = ref (1.0 /. 16.0) in
+        while !d > limit || !d > 1.0 /. 64.0 do
+          d := !d /. 2.0
+        done;
+        !d
+      in
+      let bits = Array.map Int64.bits_of_float in
+      let show f a = String.concat "; " (Array.to_list (Array.map f a)) in
+      List.for_all
+        (fun spec ->
+          let together = Perf.Engine.solve_rows spec p ~rows in
+          let apart =
+            Array.map
+              (fun b -> Perf.Engine.solve spec (Perf.Problem.from_state p b))
+              rows
+          in
+          bits together = bits apart
+          || QCheck2.Test.fail_reportf
+               "%s: rows [%s] give [%s], per-row [%s] (seed %d)"
+               (Perf.Engine.name spec) (show string_of_int rows)
+               (show (Printf.sprintf "%h") together)
+               (show (Printf.sprintf "%h") apart) seed)
+        [ Perf.Engine.Occupation_time { epsilon = 1e-10 };
+          Perf.Engine.Pseudo_erlang { phases = 64 };
+          Perf.Engine.Discretize { step };
+          Perf.Engine.Windowed { epsilon = 1e-6 } ])
+
 (* Pr{Y_t <= r, X_t in goal} is monotone in r, and — because goal states
    are absorbing with zero reward in the Theorem 1 normal form — also in
    t.  Exercises band crossings in the Sericola recursion. *)
@@ -563,6 +621,7 @@ let suite =
         test_solve_many;
       Alcotest.test_case "allocation budgets" `Quick test_allocation_budget;
       q prop_engines_agree;
+      q prop_solve_rows_bit_identical;
       q prop_achieved_epsilon;
       q prop_knob_derived_tolerances;
       q prop_sericola_vs_simulation;

@@ -303,6 +303,107 @@ let test_opt_out_is_identity () =
   Alcotest.(check bool) "apply none is physical identity" true
     (Perf.Reduction.apply Perf.Reduction.none p == p)
 
+(* ---------------- golden per-state answers ------------------------ *)
+
+(* The %h of every state's Checker answer, recorded before the P3 path
+   moved to one occupation-time recursion per reachable-set group: the
+   four P3 query shapes of the check-cold benchmark at fixed bounds, and
+   two random models whose targets fall into several groups.  Large
+   vectors are pinned by their distinct values and the MD5 of all
+   per-state strings, joined by commas. *)
+
+let multiprocessor_9 =
+  { Models.Multiprocessor.n_processors = 9; failure_rate = 0.2;
+    repair_rate = 1.0; capacity = 8; throughput_per_processor = 1.0 }
+
+let random_9 seed =
+  Models.Random_mrm.generate_labeled ~seed
+    { Models.Random_mrm.default with n_states = 9 }
+
+let golden_answer mrm labeling text =
+  let ctx = Checker.make mrm labeling in
+  match Checker.eval_query ctx (Logic.Parser.query text) with
+  | Checker.Numeric v ->
+    List.init (Linalg.Vec.length v) (fun s -> Printf.sprintf "%h" v.{s})
+  | _ -> Alcotest.fail "expected a numeric answer"
+
+let check_golden name answer expected =
+  Alcotest.(check (list string)) name expected answer
+
+let check_golden_digest name answer ~distinct ~digest =
+  Alcotest.(check (list string)) (name ^ " distinct values") distinct
+    (List.sort_uniq compare answer);
+  Alcotest.(check string) (name ^ " digest") digest
+    (Digest.to_hex (Digest.string (String.concat "," answer)))
+
+(* Distinct strongly connected components among the pipeline states that
+   need a solve: the number of reachable-set groups. *)
+let reachable_set_groups mrm labeling ~phi ~psi =
+  let phi = Logic.Parser.state_formula phi and psi = Logic.Parser.state_formula psi in
+  let ctx = Checker.make mrm labeling in
+  let phi = Checker.sat ctx phi and psi = Checker.sat ctx psi in
+  let r = Perf.Reduction.prepare mrm ~phi ~psi in
+  let scc =
+    Graph.Scc.compute
+      (Markov.Ctmc.graph (Markov.Mrm.ctmc r.Perf.Reduction.mrm))
+  in
+  let seen = Hashtbl.create 8 in
+  Array.iteri
+    (fun s b ->
+      if phi.(s) && not psi.(s) then
+        Hashtbl.replace seen
+          scc.Graph.Scc.component.(r.Perf.Reduction.map.(b))
+          ())
+    r.Perf.Reduction.reduced.Perf.Reduced.state_map;
+  Hashtbl.length seen
+
+let test_golden_answers () =
+  let adhoc = Models.Adhoc.mrm () and adhoc_labels = Models.Adhoc.labeling () in
+  check_golden "adhoc Q3"
+    (golden_answer adhoc adhoc_labels
+       "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )")
+    [ "0x1.fcecb5d2c8b9ep-2"; "0x1.fce21c378e0fep-2"; "0x1p+0"; "0x1p+0";
+      "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1.fcc757770b8a4p-2" ];
+  check_golden "adhoc incoming"
+    (golden_answer adhoc adhoc_labels
+       "P=? ( !call_active U[t<=0.4][r<=16] call_incoming )")
+    [ "0x1.19d8c8e33da76p-4"; "0x1.06e116fd5323bp-4"; "0x1.3b04c0406ee64p-7";
+      "0x1.21134c7a60eebp-7"; "0x1p+0"; "0x1p+0"; "0x0p+0"; "0x0p+0";
+      "0x1.59db7abf71b48p-5" ];
+  let c = Models.Cluster.default in
+  check_golden "cluster"
+    (golden_answer (Models.Cluster.mrm c) (Models.Cluster.labeling c)
+       "P=? ( available U[t<=600][r<=11000] down )")
+    (List.init 11 (fun _ -> "0x1p+0")
+    @ [ "0x1.b936ebfc9381bp-3"; "0x1p+0"; "0x1.97ee3422570f5p-3"; "0x1p+0";
+        "0x1.965ad30cc5ebfp-3"; "0x1p+0"; "0x1.95edbcf9a1d14p-3" ]);
+  check_golden_digest "9-processor tracked"
+    (golden_answer
+       (Models.Multiprocessor.tracked_mrm multiprocessor_9)
+       (Models.Multiprocessor.tracked_labeling multiprocessor_9)
+       "P=? ( up U[t<=11][r<=55] down )")
+    ~distinct:
+      [ "0x1.02424e2271002p-5"; "0x1.0cb7d4e7ea68dp-3"; "0x1.166a51c869abap-2";
+        "0x1.20a7a4d9cc646p-6"; "0x1.49df6bfc08eedp-4"; "0x1.4b75d24759f93p-6";
+        "0x1.509c7a9c8ac18p-5"; "0x1.9735b0a601822p-6"; "0x1.c81ab68ea52aap-5";
+        "0x1p+0" ]
+    ~digest:"987915f2d157815a557d7f5f419f2e40";
+  let random_query = "P=? ( (a | b) U[t<=2][r<=3] c )" in
+  List.iter
+    (fun (seed, groups, expected) ->
+      let m, labeling = random_9 seed in
+      let name = Printf.sprintf "random seed %Ld" seed in
+      Alcotest.(check int) (name ^ " groups") groups
+        (reachable_set_groups m labeling ~phi:"a | b" ~psi:"c");
+      check_golden name (golden_answer m labeling random_query) expected)
+    [ ( 10L, 3,
+        [ "0x0p+0"; "0x1p+0"; "0x0p+0"; "0x0p+0"; "0x1.4e23c852d537ep-1";
+          "0x1.ffc1cd8bb8646p-1"; "0x0p+0"; "0x0p+0"; "0x1p+0" ] );
+      ( 19L, 4,
+        [ "0x1p+0"; "0x1.2e48823da65f7p-2"; "0x1p+0"; "0x0p+0"; "0x0p+0";
+          "0x0p+0"; "0x1.d14dd44483d4cp-2"; "0x0p+0"; "0x1.3d18913c08585p-4" ]
+      ) ]
+
 let suite =
   ( "reduction",
     [ QCheck_alcotest.to_alcotest pipeline_matches_baseline;
@@ -317,5 +418,6 @@ let suite =
         test_symmetric_answers_match;
       Alcotest.test_case "tracked multiprocessor collapses" `Quick
         test_tracked_multiprocessor_collapses;
-      Alcotest.test_case "opt-out is identity" `Quick test_opt_out_is_identity
+      Alcotest.test_case "opt-out is identity" `Quick test_opt_out_is_identity;
+      Alcotest.test_case "golden per-state answers" `Quick test_golden_answers
     ] )

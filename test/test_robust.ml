@@ -12,30 +12,51 @@ let vec_states v = List.init (Linalg.Vec.length v) (fun s -> s)
 (* Model construction and validation.                                  *)
 
 let imrm_validation () =
-  let reject message f =
+  (* Each rejection names the offending entry, word for word: the
+     messages reach users through --imrm and serve loads. *)
+  let reject expected f =
     match f () with
-    | _ -> Alcotest.failf "accepted: %s" message
-    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "accepted: %s" expected
+    | exception Invalid_argument message ->
+      Alcotest.(check string) "rejection message" expected message
   in
-  reject "lo > hi" (fun () ->
+  reject "Imrm: rate 0 -> 1 needs 0 <= lo <= hi (finite), got [2, 1]"
+    (fun () ->
       Robust.Imrm.make ~n:2
         ~transitions:[ (0, 1, 2.0, 1.0) ]
         ~rewards:[| (0.0, 0.0); (0.0, 0.0) |]);
-  reject "negative rate" (fun () ->
+  reject "Imrm: rate 1 -> 0 needs 0 <= lo <= hi (finite), got [-1, 1]"
+    (fun () ->
       Robust.Imrm.make ~n:2
-        ~transitions:[ (0, 1, -1.0, 1.0) ]
+        ~transitions:[ (0, 1, 1.0, 1.0); (1, 0, -1.0, 1.0) ]
         ~rewards:[| (0.0, 0.0); (0.0, 0.0) |]);
-  reject "self-loop" (fun () ->
+  reject "Imrm: rate 0 -> 1 needs 0 <= lo <= hi (finite), got [1, inf]"
+    (fun () ->
+      Robust.Imrm.make ~n:2
+        ~transitions:[ (0, 1, 1.0, Float.infinity) ]
+        ~rewards:[| (0.0, 0.0); (0.0, 0.0) |]);
+  reject "Imrm.make: transition 0 -> 2 out of range" (fun () ->
+      Robust.Imrm.make ~n:2
+        ~transitions:[ (0, 2, 1.0, 1.0) ]
+        ~rewards:[| (0.0, 0.0); (0.0, 0.0) |]);
+  reject "Imrm.make: self-loop on state 0" (fun () ->
       Robust.Imrm.make ~n:2
         ~transitions:[ (0, 0, 1.0, 1.0) ]
         ~rewards:[| (0.0, 0.0); (0.0, 0.0) |]);
-  reject "duplicate transition" (fun () ->
+  reject "Imrm.make: duplicate transition 0 -> 1" (fun () ->
       Robust.Imrm.make ~n:2
-        ~transitions:[ (0, 1, 1.0, 1.0); (0, 1, 2.0, 3.0) ]
+        ~transitions:[ (0, 1, 1.0, 1.0); (1, 0, 1.0, 1.0); (0, 1, 2.0, 3.0) ]
         ~rewards:[| (0.0, 0.0); (0.0, 0.0) |]);
-  reject "reward interval inverted" (fun () ->
+  reject "Imrm: reward of state 0 needs 0 <= lo <= hi (finite), got [2, 1]"
+    (fun () ->
       Robust.Imrm.make ~n:1 ~transitions:[] ~rewards:[| (2.0, 1.0) |]);
-  reject "drift out of range" (fun () ->
+  reject "Imrm: reward of state 1 needs 0 <= lo <= hi (finite), got [nan, 1]"
+    (fun () ->
+      Robust.Imrm.make ~n:2 ~transitions:[]
+        ~rewards:[| (0.0, 1.0); (Float.nan, 1.0) |]);
+  reject "Imrm.make: rewards length must equal the state count" (fun () ->
+      Robust.Imrm.make ~n:2 ~transitions:[] ~rewards:[| (0.0, 0.0) |]);
+  reject "Imrm.of_mrm: rate drift must lie in [0, 1), got 1" (fun () ->
       Robust.Imrm.of_mrm ~rate_drift:1.0 (Models.Adhoc.mrm ()));
   (* Impulse rewards are not representable. *)
   let impulse_model =
@@ -43,7 +64,10 @@ let imrm_validation () =
   in
   Alcotest.(check bool) "generator produced impulses" true
     (Markov.Mrm.has_impulses impulse_model);
-  reject "impulse rewards" (fun () -> Robust.Imrm.point impulse_model);
+  reject
+    "Imrm.point: impulse rewards are not supported by the robust engine \
+     (its capability flags say so); strip them or use a precise engine"
+    (fun () -> Robust.Imrm.point impulse_model);
   (* hi = 0 transitions are dropped rather than stored. *)
   let m =
     Robust.Imrm.make ~n:3
