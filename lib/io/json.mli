@@ -1,8 +1,8 @@
 (** A minimal JSON tree: emitter and recursive-descent parser.
 
-    Just enough for the machine-readable bench artifacts
-    ([BENCH_perf.json]) and their validators — no streaming, no
-    number-preservation subtleties (all numbers are floats). *)
+    Just enough for the batch, trace and server documents and their
+    validators — no streaming, no number-preservation subtleties (all
+    numbers are floats). *)
 
 type t =
   | Null

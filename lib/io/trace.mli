@@ -1,7 +1,6 @@
-(** Rendering {!Telemetry} reports: JSON trace documents (the CLI's
-    [--trace FILE] and the per-procedure telemetry columns of
-    [BENCH_perf.json]) and a human-readable counter dump (the CLI's
-    [--stats]).
+(** Rendering {!Telemetry} reports: JSON trace documents (the
+    [--trace FILE] of [csrl-check] and [csrl-serve]) and a
+    human-readable counter dump (their [--stats]).
 
     The JSON shape is
     [{"counters": {name: int, ...}, "gauges": {name: float, ...},

@@ -107,14 +107,3 @@ let reachability_all ?epsilon ?rate ?stationary_detection ?pool ?telemetry
   Linalg.Vec.map Numerics.Float_utils.clamp_prob
     (backward ?epsilon ?rate ?stationary_detection ?pool ?telemetry ?cancel c
        ~terminal ~t)
-
-let steps_for ?rate c ~t ~epsilon =
-  if t < 0.0 then invalid_arg "Transient.steps_for: negative time";
-  let lambda =
-    match rate with
-    | Some l -> l
-    | None ->
-      let m = Ctmc.max_exit_rate c in
-      if m > 0.0 then m else 1.0
-  in
-  Numerics.Poisson.right_truncation_point ~lambda:(lambda *. t) ~epsilon

@@ -83,8 +83,3 @@ val reachability_all :
     [goal] set at time [t] when starting from state [s] — i.e. one column
     pass [sum_n poi(lambda t, n) P^n 1_goal] computes the P1 recipe for
     {e every} initial state at once. *)
-
-val steps_for : ?rate:float -> Ctmc.t -> t:float -> epsilon:float -> int
-(** Number of uniformisation steps [N_epsilon] needed for truncation error
-    [epsilon] at horizon [t] — the quantity tabulated in the paper's
-    Table 2. *)

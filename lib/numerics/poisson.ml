@@ -40,7 +40,10 @@ let right_truncation_point ~lambda ~epsilon =
     let acc = Kahan.create () in
     let mode = int_of_float lambda in
     let p_mode = pmf ~lambda mode in
-    (* Accumulate all mass below the mode first ... *)
+    (* Every walk starts at the mode (e^-lambda underflows for lambda
+       above ~745) and stops where its term underflows to 0: no mass
+       is representable beyond that point, so no later term can move
+       the sum.  Accumulate all mass at or below the mode first ... *)
     let rec down k p =
       if k >= 0 && p > 0.0 then begin
         Kahan.add acc p;
@@ -48,22 +51,33 @@ let right_truncation_point ~lambda ~epsilon =
       end
     in
     down mode p_mode;
-    if Kahan.sum acc >= 1.0 -. epsilon then
-      (* The threshold is already crossed at or below the mode: rescan
-         upward from 0 to find the exact crossing point. *)
-      let acc2 = Kahan.create () in
-      let rec scan k p =
-        Kahan.add acc2 p;
-        if Kahan.sum acc2 >= 1.0 -. epsilon then k
-        else scan (k + 1) (p *. lambda /. float_of_int (k + 1))
+    if Kahan.sum acc >= 1.0 -. epsilon then begin
+      (* The threshold is already crossed at or below the mode: walk
+         down again, taking each term off the mass at or below it, to
+         the smallest k whose mass still reaches 1 - epsilon. *)
+      let rec shrink k p =
+        if k = 0 || p = 0.0 then k
+        else begin
+          Kahan.add acc (-.p);
+          if Kahan.sum acc >= 1.0 -. epsilon then
+            shrink (k - 1) (p *. float_of_int k /. lambda)
+          else k
+        end
       in
-      scan 0 (pmf ~lambda 0)
+      shrink mode p_mode
+    end
     else begin
-      (* ... then extend to the right until the target mass is reached. *)
+      (* ... then extend to the right until the target mass is reached,
+         or to the last term that does not underflow when the summed
+         mass never reaches 1 - epsilon (epsilon below its rounding
+         error). *)
       let rec up k p =
-        Kahan.add acc p;
-        if Kahan.sum acc >= 1.0 -. epsilon then k
-        else up (k + 1) (p *. lambda /. float_of_int (k + 1))
+        if p = 0.0 then k - 1
+        else begin
+          Kahan.add acc p;
+          if Kahan.sum acc >= 1.0 -. epsilon then k
+          else up (k + 1) (p *. lambda /. float_of_int (k + 1))
+        end
       in
       up (mode + 1) (p_mode *. lambda /. float_of_int (mode + 1))
     end

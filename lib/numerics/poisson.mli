@@ -19,4 +19,6 @@ val right_truncation_point : lambda:float -> epsilon:float -> int
 (** [right_truncation_point ~lambda ~epsilon] is the smallest [n] with
     [P(N <= n) >= 1 - epsilon]: the number of uniformisation steps needed
     for truncation error at most [epsilon] (the [N_epsilon] of the paper's
-    Section 4.4).  Requires [0 < epsilon < 1]. *)
+    Section 4.4).  When [1 - epsilon] lies within the rounding error of
+    the summed mass, no [n] reaches it and the answer is the last [n]
+    whose mass does not underflow.  Requires [0 < epsilon < 1]. *)

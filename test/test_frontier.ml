@@ -156,6 +156,29 @@ let differential_on ?pool ?reduction what m labeling =
           p.Batch.Frontier.t p.Batch.Frontier.r p.Batch.Frontier.probability
           cold)
     result.Batch.Frontier.points;
+  if reduction = None then begin
+    (* The warm sweep prepares the reduction pipeline once, and its
+       shared brackets take fewer solves than one cold bisection per
+       grid row. *)
+    let reduction_memo = List.assoc "reduction" (Checker.memo_counters memo) in
+    Alcotest.(check int) (what ^ ": reduction prepared once") 1
+      reduction_memo.Numerics.Memo.misses;
+    let { Batch.Frontier.target; time_bound; reward_bound; grid; tolerance; _ }
+      =
+      result
+    in
+    let cold_evaluations =
+      List.fold_left ( + ) 0
+        (List.init grid (fun i ->
+             let t = time_bound *. float_of_int (i + 1) /. float_of_int grid in
+             let eval r = cold_point ?pool m labeling ~init ~path ~t ~r in
+             (Perf.Frontier.probe ~eval ~target ~hi:reward_bound ~tolerance)
+               .Perf.Frontier.evaluations))
+    in
+    if result.Batch.Frontier.evaluations >= cold_evaluations then
+      Alcotest.failf "%s: sweep made %d evaluations, cold bisections %d" what
+        result.Batch.Frontier.evaluations cold_evaluations
+  end;
   result
 
 let test_differential () =

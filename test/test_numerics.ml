@@ -134,6 +134,25 @@ let test_truncation_edges () =
   (* Tiny lambda: nearly all mass at 0. *)
   Alcotest.(check int) "tiny lambda coarse eps" 0
     (Numerics.Poisson.right_truncation_point ~lambda:1e-6 ~epsilon:1e-2);
+  (* Crossings at or below the mode where e^-lambda underflows: the
+     first input is a qcheck counterexample, the second the ad hoc Q3
+     at t = 40 under sericola:0.5 (rate 19.5).  Both used to hang. *)
+  List.iter
+    (fun (lambda, epsilon) ->
+      let n = Numerics.Poisson.right_truncation_point ~lambda ~epsilon in
+      let reaches k = Numerics.Poisson.cdf ~lambda k >= 1.0 -. epsilon in
+      if not (reaches n && not (reaches (n - 1))) then
+        Alcotest.failf "lambda %.17g eps %.17g: N = %d is not the crossing"
+          lambda epsilon n)
+    [ (890.13071428222395, 0.49603153616408668); (780.0, 0.5) ];
+  (* 1 - 1e-17 rounds to 1, which the summed mass (1 - 1e-13 here) never
+     reaches: the walk stops where its terms underflow, with no mass
+     left beyond it (ad hoc Q3 at t = 6 under sericola:1e-17, which used
+     to hang). *)
+  let cdf = Numerics.Poisson.cdf ~lambda:117.0 in
+  let n = Numerics.Poisson.right_truncation_point ~lambda:117.0 ~epsilon:1e-17 in
+  if n < 117 || cdf n <> cdf (10 * n) then
+    Alcotest.failf "lambda 117 eps 1e-17: N = %d leaves mass behind" n;
   Alcotest.check_raises "bad epsilon"
     (Invalid_argument "Poisson.right_truncation_point: epsilon outside (0,1)")
     (fun () ->

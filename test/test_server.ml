@@ -294,7 +294,8 @@ let frontier_request () =
 (* Service semantics.                                                  *)
 
 (* The differential claim: a served check answers bit-identically to a
-   plain Checker.eval_query on a fresh context. *)
+   plain Checker.eval_query on a fresh context, and a second round on
+   the now-warm service answers from the memo with the same bytes. *)
 let differential_check () =
   let service = fresh_service () in
   let queries =
@@ -305,37 +306,59 @@ let differential_check () =
   in
   let mrm, labeling, init = adhoc () in
   let ctx = Checker.make mrm labeling in
-  List.iter
-    (fun text ->
-      let response = Service.execute service (check_env "adhoc" text None) in
-      let result =
-        match member [ "result" ] response with
-        | Some r -> r
-        | None -> Alcotest.failf "no result in %s" (json_str response)
-      in
-      let reference =
-        match Checker.eval_query ctx (Logic.Parser.query text) with
-        | Checker.Numeric v ->
-          [ ("kind", Io.Json.String "numeric");
-            ("value", Io.Json.Number (Linalg.Vec.dot init v));
-            ("states",
-             Io.Json.List
-               (Array.to_list (Array.map (fun x -> Io.Json.Number x) (Linalg.Vec.to_array v)))) ]
-        | Checker.Boolean mask ->
-          let ind = Array.map (fun b -> if b then 1.0 else 0.0) mask in
-          [ ("kind", Io.Json.String "boolean");
-            ("initial_mass", Io.Json.Number (Linalg.Vec.dot init (Linalg.Vec.of_array ind)));
-            ("states",
-             Io.Json.List
-               (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask))) ]
-        | _ -> Alcotest.fail "expected a point verdict"
-      in
-      (* String equality of the rendered JSON is bit-identity: Io.Json
-         prints floats with round-trip precision. *)
-      Alcotest.(check string) text
-        (json_str (Io.Json.Object reference))
-        (json_str result))
-    queries
+  let reference text =
+    match Checker.eval_query ctx (Logic.Parser.query text) with
+    | Checker.Numeric v ->
+      [ ("kind", Io.Json.String "numeric");
+        ("value", Io.Json.Number (Linalg.Vec.dot init v));
+        ("states",
+         Io.Json.List
+           (Array.to_list (Array.map (fun x -> Io.Json.Number x) (Linalg.Vec.to_array v)))) ]
+    | Checker.Boolean mask ->
+      let ind = Array.map (fun b -> if b then 1.0 else 0.0) mask in
+      [ ("kind", Io.Json.String "boolean");
+        ("initial_mass", Io.Json.Number (Linalg.Vec.dot init (Linalg.Vec.of_array ind)));
+        ("states",
+         Io.Json.List
+           (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask))) ]
+    | _ -> Alcotest.fail "expected a point verdict"
+  in
+  let round name =
+    List.iter
+      (fun text ->
+        let response = Service.execute service (check_env "adhoc" text None) in
+        let result =
+          match member [ "result" ] response with
+          | Some r -> r
+          | None -> Alcotest.failf "no result in %s" (json_str response)
+        in
+        (* String equality of the rendered JSON is bit-identity: Io.Json
+           prints floats with round-trip precision. *)
+        Alcotest.(check string) (name ^ ": " ^ text)
+          (json_str (Io.Json.Object (reference text)))
+          (json_str result))
+      queries
+  in
+  let path_counter key =
+    let stats =
+      Service.execute service { Protocol.id = None; request = Protocol.Stats }
+    in
+    match
+      Option.bind (member [ "models" ] stats) (function
+        | Io.Json.List [ model ] ->
+          Option.bind (member [ "cache"; "path"; key ] model) Io.Json.to_float
+        | _ -> None)
+    with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "no path %s in %s" key (json_str stats)
+  in
+  round "round 1";
+  let lookups = path_counter "lookups" and hits = path_counter "hits" in
+  round "round 2";
+  let lookups = path_counter "lookups" - lookups
+  and hits = path_counter "hits" - hits in
+  Alcotest.(check bool) "round 2 looks paths up" true (lookups > 0);
+  Alcotest.(check int) "every round-2 path lookup hits" lookups hits
 
 (* A deadline that fires mid-Sericola: the solve is abandoned with a
    structured error, and the interrupted run leaves no partial result
