@@ -67,12 +67,13 @@ let q3_problem ~r =
   let init = Linalg.Vec.unit 9 Models.Adhoc.initial_state in
   Perf.Reduced.problem red ~init ~time_bound:24.0 ~reward_bound:r
 
+let multiprocessor ~n_processors =
+  { Models.Multiprocessor.n_processors; failure_rate = 0.2;
+    repair_rate = 1.0; capacity = 8; throughput_per_processor = 1.0 }
+
 let tracked_multiprocessor ~n_processors =
-  let c =
-    { Models.Multiprocessor.n_processors; failure_rate = 0.2;
-      repair_rate = 1.0; capacity = 8; throughput_per_processor = 1.0 }
-  in
-  Models.Multiprocessor.tracked_performability c ~t:10.0 ~r:50.0
+  Models.Multiprocessor.tracked_performability
+    (multiprocessor ~n_processors) ~t:10.0 ~r:50.0
 
 (* The 120 x 120 .gcm grid (14,641 reachable states) of the explore
    kernels. *)
@@ -162,6 +163,20 @@ let workloads =
             ignore
               (Perf.Engine.solve ~reduction:Perf.Reduction.default spec p
                 : float)) };
+    { name = "reduction_prepare";
+      descr = "Theorem 1, goal-unreachable search and lumping of the \
+               512-state tracked multiprocessor under up U down";
+      prepare =
+        (fun () ->
+          (* The P3 pipeline set-up of check-cold's multiprocessor slots:
+             513 states after Theorem 1, nothing goal-unreachable to
+             merge, 10 blocks after lumping. *)
+          let c = multiprocessor ~n_processors:9 in
+          let m = Models.Multiprocessor.tracked_mrm c in
+          let sat = Markov.Labeling.sat (Models.Multiprocessor.tracked_labeling c) in
+          let phi = sat "up" and psi = sat "down" in
+          fun () ->
+            ignore (Perf.Reduction.prepare m ~phi ~psi : Perf.Reduction.t)) };
     { name = "robust_envelope";
       descr = "lower/upper robust value iteration on the drifted ad hoc Q3";
       prepare =

@@ -9,19 +9,91 @@ type t = {
 (* Aggregate rates are compared through a short canonical rendering: the
    models this is meant for (symmetric pools of identical components)
    produce identical aggregates up to floating-point association order,
-   which 12 significant digits absorb. *)
-let rate_token rate = Printf.sprintf "%.12g" rate
+   which 12 significant digits absorb.  A token is a small int standing
+   for one rendering; the rendering is computed once per distinct bit
+   pattern, so equal tokens mean exactly equal renderings and a
+   refinement round formats no rate it has met before. *)
+type tokens = {
+  of_bits : (int64, int) Hashtbl.t;
+  of_text : (string, int) Hashtbl.t;
+}
 
-let signature ~block_of_state chain s =
-  let per_block = Hashtbl.create 8 in
-  Linalg.Csr.iter_row (Ctmc.rates chain) s (fun s' rate ->
-      let b = block_of_state.(s') in
-      let prior = Option.value ~default:0.0 (Hashtbl.find_opt per_block b) in
-      Hashtbl.replace per_block b (prior +. rate));
-  Hashtbl.fold (fun b rate acc -> (b, rate_token rate) :: acc) per_block []
-  |> List.sort compare
-  |> List.map (fun (b, tok) -> Printf.sprintf "%d:%s" b tok)
-  |> String.concat ","
+let token tokens rate =
+  let bits = Int64.bits_of_float rate in
+  match Hashtbl.find tokens.of_bits bits with
+  | id -> id
+  | exception Not_found ->
+    let text = Printf.sprintf "%.12g" rate in
+    let id =
+      match Hashtbl.find tokens.of_text text with
+      | id -> id
+      | exception Not_found ->
+        let id = Hashtbl.length tokens.of_text in
+        Hashtbl.add tokens.of_text text id;
+        id
+    in
+    Hashtbl.add tokens.of_bits bits id;
+    id
+
+(* Keys are int arrays, hashed over every element. *)
+module Keys = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) = a = b
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 65599) + a.(i)
+    done;
+    !h land max_int
+end)
+
+(* Blocks numbered by first occurrence in state order: states with equal
+   keys share a block. *)
+let number n key_of_state =
+  let table = Keys.create 64 in
+  let blocks = Array.make n 0 in
+  let count = ref 0 in
+  for s = 0 to n - 1 do
+    let key = key_of_state s in
+    match Keys.find table key with
+    | b -> blocks.(s) <- b
+    | exception Not_found ->
+      Keys.add table key !count;
+      blocks.(s) <- !count;
+      incr count
+  done;
+  (blocks, !count)
+
+(* State s's key in a refinement round: its own block, then the
+   (block, token of the aggregate rate into it) pairs by ascending
+   block.  Each aggregate adds the row's rates in stored (ascending
+   column) order from 0.0.  [sum], [owner] and [touched] are
+   caller-owned scratch: the running aggregate per block, the last state
+   that touched each block, and the blocks state s touches. *)
+let signature ~tokens ~rates ~block_of_state ~sum ~owner ~touched s =
+  let rp = Linalg.Csr.row_pointers rates and ci = Linalg.Csr.col_indices rates in
+  let values = Linalg.Csr.values rates in
+  let k = ref 0 in
+  for p = Int32.to_int rp.{s} to Int32.to_int rp.{s + 1} - 1 do
+    let b = block_of_state.(Int32.to_int ci.{p}) in
+    if owner.(b) <> s then begin
+      owner.(b) <- s;
+      sum.(b) <- 0.0 +. values.{p};
+      touched.(!k) <- b;
+      incr k
+    end
+    else sum.(b) <- sum.(b) +. values.{p}
+  done;
+  let blocks = Array.sub touched 0 !k in
+  Array.sort Int.compare blocks;
+  let key = Array.make ((2 * !k) + 1) block_of_state.(s) in
+  for j = 0 to !k - 1 do
+    key.((2 * j) + 1) <- blocks.(j);
+    key.((2 * j) + 2) <- token tokens sum.(blocks.(j))
+  done;
+  key
 
 let compute mrm labeling =
   if Mrm.has_impulses mrm then
@@ -30,38 +102,35 @@ let compute mrm labeling =
   if Labeling.n_states labeling <> n then
     invalid_arg "Lumping.compute: labeling size mismatch";
   let chain = Mrm.ctmc mrm in
-  (* Initial partition: (label set, reward). *)
-  let assign keys =
-    let table = Hashtbl.create 16 in
-    let blocks = Array.make n (-1) in
-    let count = ref 0 in
-    Array.iteri
-      (fun s key ->
-        match Hashtbl.find_opt table key with
-        | Some b -> blocks.(s) <- b
-        | None ->
-          Hashtbl.add table key !count;
-          blocks.(s) <- !count;
-          incr count)
-      keys;
-    (blocks, !count)
+  let rates = Ctmc.rates chain in
+  let tokens = { of_bits = Hashtbl.create 64; of_text = Hashtbl.create 64 } in
+  (* Initial partition: (label set, reward); a label set is numbered by
+     its sorted names joined with ';'. *)
+  let label_sets = Hashtbl.create 16 in
+  let label_set s =
+    let text = String.concat ";" (Labeling.labels_of_state labeling s) in
+    match Hashtbl.find label_sets text with
+    | id -> id
+    | exception Not_found ->
+      let id = Hashtbl.length label_sets in
+      Hashtbl.add label_sets text id;
+      id
   in
-  let initial_keys =
-    Array.init n (fun s ->
-        Printf.sprintf "%s|%.12g"
-          (String.concat ";" (Labeling.labels_of_state labeling s))
-          (Mrm.reward mrm s))
+  let blocks =
+    ref
+      (number n (fun s ->
+           [| label_set s; token tokens (Mrm.reward mrm s) |]))
   in
-  let blocks = ref (assign initial_keys) in
+  let sum = Array.make n 0.0 and owner = Array.make n (-1) in
+  let touched = Array.make n 0 in
   let stable = ref false in
   while not !stable do
     let block_of_state, count = !blocks in
-    let keys =
-      Array.init n (fun s ->
-          Printf.sprintf "%d|%s" block_of_state.(s)
-            (signature ~block_of_state chain s))
+    Array.fill owner 0 n (-1);
+    let refined =
+      number n
+        (signature ~tokens ~rates ~block_of_state ~sum ~owner ~touched)
     in
-    let refined = assign keys in
     if snd refined = count then stable := true else blocks := refined
   done;
   let block_of_state, n_blocks = !blocks in

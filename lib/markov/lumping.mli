@@ -25,12 +25,17 @@ type t = {
 val compute : Mrm.t -> Labeling.t -> t
 (** Lumpable partition refining the (label set, reward) partition, by
     straightforward partition refinement.  The quotient's rate from block
-    [B] to block [C] is the members' common aggregate rate (aggregates
-    are compared to 12 significant digits; rates differing beyond that
-    keep blocks apart).  The signature includes the aggregate into the
-    {e own} block, which is slightly stricter than ordinary lumpability
-    requires but keeps even the next-operator (jump-counting) semantics
-    exact on the quotient. *)
+    [B] to block [C] is the representative's aggregate rate.  Aggregates
+    are compared by their [%.12g] renderings: rates that differ only
+    beyond the 12th significant digit share a block, rates that differ
+    earlier keep blocks apart.  Each round keys a state by an int array
+    — its own block, then one (block, token) pair per block it reaches,
+    by ascending block — where a token numbers one rendering, formatted
+    once per distinct float bit pattern; blocks are numbered by first
+    occurrence in state order.  The signature includes the aggregate
+    into the {e own} block, which is slightly stricter than ordinary
+    lumpability requires but keeps even the next-operator
+    (jump-counting) semantics exact on the quotient. *)
 
 val lift : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [lift l v] aggregates an original-space vector into block space by

@@ -7,6 +7,13 @@ let log_pmf ~lambda n =
 
 let pmf ~lambda n = Float.exp (log_pmf ~lambda n)
 
+(* The walks below stop at their first subnormal term.  Past it the
+   terms carry no mass a sum near the mode can register, and a subnormal
+   times a ratio near 1 rounds back to itself, so a walk waiting for an
+   exact 0 ran on until the ratio fell below 1/2 (towards lambda / 2 on
+   the way down, 2 lambda on the way up). *)
+let normal p = p >= Float.min_float
+
 let cdf ~lambda n =
   if lambda = 0.0 then if n >= 0 then 1.0 else 0.0
   else begin
@@ -16,13 +23,13 @@ let cdf ~lambda n =
     (* Sum the mass at 0..n by walking from the mode in both directions;
        anchoring at the mode avoids underflow of e^-lambda. *)
     let rec down k p =
-      if k >= 0 && p > 0.0 then begin
+      if k >= 0 && normal p then begin
         if k <= n then Kahan.add acc p;
         down (k - 1) (p *. float_of_int k /. lambda)
       end
     in
     let rec up k p =
-      if k <= n && p > 0.0 then begin
+      if k <= n && normal p then begin
         Kahan.add acc p;
         up (k + 1) (p *. lambda /. float_of_int (k + 1))
       end
@@ -41,11 +48,11 @@ let right_truncation_point ~lambda ~epsilon =
     let mode = int_of_float lambda in
     let p_mode = pmf ~lambda mode in
     (* Every walk starts at the mode (e^-lambda underflows for lambda
-       above ~745) and stops where its term underflows to 0: no mass
-       is representable beyond that point, so no later term can move
-       the sum.  Accumulate all mass at or below the mode first ... *)
+       above ~745) and stops where its term leaves the normal range: no
+       later term can move the sum.  Accumulate all mass at or below the
+       mode first ... *)
     let rec down k p =
-      if k >= 0 && p > 0.0 then begin
+      if k >= 0 && normal p then begin
         Kahan.add acc p;
         down (k - 1) (p *. float_of_int k /. lambda)
       end
@@ -56,7 +63,7 @@ let right_truncation_point ~lambda ~epsilon =
          down again, taking each term off the mass at or below it, to
          the smallest k whose mass still reaches 1 - epsilon. *)
       let rec shrink k p =
-        if k = 0 || p = 0.0 then k
+        if k = 0 || not (normal p) then k
         else begin
           Kahan.add acc (-.p);
           if Kahan.sum acc >= 1.0 -. epsilon then
@@ -68,11 +75,10 @@ let right_truncation_point ~lambda ~epsilon =
     end
     else begin
       (* ... then extend to the right until the target mass is reached,
-         or to the last term that does not underflow when the summed
-         mass never reaches 1 - epsilon (epsilon below its rounding
-         error). *)
+         or to the last normal term when the summed mass never reaches
+         1 - epsilon (epsilon below its rounding error). *)
       let rec up k p =
-        if p = 0.0 then k - 1
+        if not (normal p) then k - 1
         else begin
           Kahan.add acc p;
           if Kahan.sum acc >= 1.0 -. epsilon then k

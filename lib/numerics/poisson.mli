@@ -13,7 +13,8 @@ val pmf : lambda:float -> int -> float
     is benign for the truncated sums used here. *)
 
 val cdf : lambda:float -> int -> float
-(** [cdf ~lambda n] is [P(N <= n)], by direct stable summation. *)
+(** [cdf ~lambda n] is [P(N <= n)], by direct stable summation from the
+    mode outwards; terms below [Float.min_float] are left out. *)
 
 val right_truncation_point : lambda:float -> epsilon:float -> int
 (** [right_truncation_point ~lambda ~epsilon] is the smallest [n] with
@@ -21,4 +22,5 @@ val right_truncation_point : lambda:float -> epsilon:float -> int
     for truncation error at most [epsilon] (the [N_epsilon] of the paper's
     Section 4.4).  When [1 - epsilon] lies within the rounding error of
     the summed mass, no [n] reaches it and the answer is the last [n]
-    whose mass does not underflow.  Requires [0 < epsilon < 1]. *)
+    whose mass is a normal float (at least [Float.min_float]).  Requires
+    [0 < epsilon < 1]. *)

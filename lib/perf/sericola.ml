@@ -79,24 +79,115 @@ let binomial_pmf_into ~lf bin n x =
     done
   end
 
+(* One solve's recursion: its stores, the offsets the kernel reads and
+   the layer being computed.  [c(h, layer, k)] lives in
+   [store.(layer land 1)] at {!offset} and [P^layer . G] in
+   [pngs.(layer land 1)] at [i * w + col]; [pc] holds the products
+   P . c(h, layer - 1, k).  The pool's body is one closure over this
+   record for the whole solve, so a layer allocates nothing. *)
+type sweep = {
+  ctx : context;
+  stride_h : int;              (* (N + 1) * w: one band of one state *)
+  entry_base : int array;      (* stored entry p: its column's first cell *)
+  store : float array array;
+  pc : float array;
+  pngs : float array array;
+  mutable layer : int;
+}
+
+(* pc(i, h, x) += the stored entries pos .. pos + count - 1 of row i
+   (count <= 4) times c(h, layer - 1, x) of their columns, for every
+   band h and x < span.  Each element is read once, its terms are added
+   in a register and it is written once: (((pc + v1 x1) + v2 x2) + v3 x3)
+   + v4 x4 rounds after every addition, in ascending entry order, so an
+   element's value does not depend on how its row is cut into chunks. *)
+let add_entries s ~prev ~dst ~span ~pos ~count =
+  let m = s.ctx.n_bands and stride_h = s.stride_h and pc = s.pc in
+  let probs = s.ctx.probs and eb = s.entry_base in
+  let v1 = Array.unsafe_get probs pos and e1 = Array.unsafe_get eb pos in
+  match count with
+  | 1 ->
+    for h = 0 to m - 1 do
+      let d = dst + (h * stride_h) and a1 = e1 + (h * stride_h) in
+      for x = 0 to span - 1 do
+        Array.unsafe_set pc (d + x)
+          (Array.unsafe_get pc (d + x)
+          +. (v1 *. Array.unsafe_get prev (a1 + x)))
+      done
+    done
+  | 2 ->
+    let v2 = Array.unsafe_get probs (pos + 1)
+    and e2 = Array.unsafe_get eb (pos + 1) in
+    for h = 0 to m - 1 do
+      let off = h * stride_h in
+      let d = dst + off and a1 = e1 + off and a2 = e2 + off in
+      for x = 0 to span - 1 do
+        Array.unsafe_set pc (d + x)
+          (Array.unsafe_get pc (d + x)
+          +. (v1 *. Array.unsafe_get prev (a1 + x))
+          +. (v2 *. Array.unsafe_get prev (a2 + x)))
+      done
+    done
+  | 3 ->
+    let v2 = Array.unsafe_get probs (pos + 1)
+    and e2 = Array.unsafe_get eb (pos + 1) in
+    let v3 = Array.unsafe_get probs (pos + 2)
+    and e3 = Array.unsafe_get eb (pos + 2) in
+    for h = 0 to m - 1 do
+      let off = h * stride_h in
+      let d = dst + off and a1 = e1 + off and a2 = e2 + off
+      and a3 = e3 + off in
+      for x = 0 to span - 1 do
+        Array.unsafe_set pc (d + x)
+          (Array.unsafe_get pc (d + x)
+          +. (v1 *. Array.unsafe_get prev (a1 + x))
+          +. (v2 *. Array.unsafe_get prev (a2 + x))
+          +. (v3 *. Array.unsafe_get prev (a3 + x)))
+      done
+    done
+  | _ ->
+    let v2 = Array.unsafe_get probs (pos + 1)
+    and e2 = Array.unsafe_get eb (pos + 1) in
+    let v3 = Array.unsafe_get probs (pos + 2)
+    and e3 = Array.unsafe_get eb (pos + 2) in
+    let v4 = Array.unsafe_get probs (pos + 3)
+    and e4 = Array.unsafe_get eb (pos + 3) in
+    for h = 0 to m - 1 do
+      let off = h * stride_h in
+      let d = dst + off and a1 = e1 + off and a2 = e2 + off
+      and a3 = e3 + off and a4 = e4 + off in
+      for x = 0 to span - 1 do
+        Array.unsafe_set pc (d + x)
+          (Array.unsafe_get pc (d + x)
+          +. (v1 *. Array.unsafe_get prev (a1 + x))
+          +. (v2 *. Array.unsafe_get prev (a2 + x))
+          +. (v3 *. Array.unsafe_get prev (a3 + x))
+          +. (v4 *. Array.unsafe_get prev (a4 + x)))
+      done
+    done
+
 (* One layer at state i: the products P . c(h, layer-1, k) and
    P^layer . G of row i, then its band interpolation.  Every element of a
    product starts from 0.0 and adds the row's stored entries in ascending
    order; the interpolation reads and writes state i only (the
    cross-band bases cur(h-1, layer) and cur(h+1, 0) are at state i too),
-   with the h- and k-loops in their fixed order.  States therefore
-   partition the layer: each cell is written once, by the same
-   expression, whichever domain runs the state. *)
-let layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i =
+   each column's k-chain in its fixed order with the value just written
+   carried in a register.  States therefore partition the layer: each
+   cell is written once, by the same expression, whichever domain runs
+   the state. *)
+let layer_at_state s i =
+  let ctx = s.ctx and layer = s.layer and stride_h = s.stride_h in
   let w = ctx.width and m = ctx.n_bands in
-  let stride_h = (max_layer + 1) * w in
+  let prev = s.store.((layer + 1) land 1) and cur = s.store.(layer land 1) in
+  let png_prev = s.pngs.((layer + 1) land 1) and png = s.pngs.(layer land 1) in
+  let pc = s.pc in
   let base_i = i * m * stride_h in
   let span = layer * w in
-  let start = ctx.row_ptr.(i) and stop = ctx.row_ptr.(i + 1) - 1 in
+  let start = ctx.row_ptr.(i) and stop = ctx.row_ptr.(i + 1) in
   (* png <- P png, row i. *)
   let png_off = i * w in
   Array.fill png png_off w 0.0;
-  for pos = start to stop do
+  for pos = start to stop - 1 do
     let v = Array.unsafe_get ctx.probs pos in
     let src = Array.unsafe_get ctx.cols pos * w in
     for col = 0 to w - 1 do
@@ -105,21 +196,16 @@ let layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i =
         +. (v *. Array.unsafe_get png_prev (src + col)))
     done
   done;
-  (* pc(h, k) <- P . c(h, layer-1, k), row i, for k < layer. *)
+  (* pc(h, k) <- P . c(h, layer-1, k), row i, for k < layer: zero the
+     slices, then add the row's entries four at a time. *)
   for h = 0 to m - 1 do
     Array.fill pc (base_i + (h * stride_h)) span 0.0
   done;
-  for pos = start to stop do
-    let v = Array.unsafe_get ctx.probs pos in
-    let base_j = Array.unsafe_get ctx.cols pos * m * stride_h in
-    for h = 0 to m - 1 do
-      let dst = base_i + (h * stride_h) and src = base_j + (h * stride_h) in
-      for x = 0 to span - 1 do
-        Array.unsafe_set pc (dst + x)
-          (Array.unsafe_get pc (dst + x)
-          +. (v *. Array.unsafe_get prev (src + x)))
-      done
-    done
+  let pos = ref start in
+  while !pos < stop do
+    let count = Int.min 4 (stop - !pos) in
+    add_entries s ~prev ~dst:base_i ~span ~pos:!pos ~count;
+    pos := !pos + count
   done;
   let li = ctx.level_of_state.(i) in
   let rho_i = ctx.levels.(li) in
@@ -133,13 +219,15 @@ let layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i =
        entry of the band below. *)
     if h = 1 then Array.blit png png_off cur band w
     else Array.blit cur (band - stride_h + span) cur band w;
-    for k = 1 to layer do
-      let dst = band + (k * w) in
-      let prev_k = dst - w in
-      for col = 0 to w - 1 do
-        Array.unsafe_set cur (dst + col)
-          ((a *. Array.unsafe_get cur (prev_k + col))
-          +. (b *. Array.unsafe_get pc (prev_k + col)))
+    for col = 0 to w - 1 do
+      (* [at] is c(h, layer, k - 1)'s cell, whose value [run] holds. *)
+      let at = ref (band + col) in
+      let run = ref (Array.unsafe_get cur !at) in
+      for _ = 1 to layer do
+        let next = (a *. !run) +. (b *. Array.unsafe_get pc !at) in
+        at := !at + w;
+        Array.unsafe_set cur !at next;
+        run := next
       done
     done
   done;
@@ -154,13 +242,15 @@ let layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i =
        the band above. *)
     if h = m then Array.fill cur (band + span) w 0.0
     else Array.blit cur (band + stride_h) cur (band + span) w;
-    for k = layer - 1 downto 0 do
-      let dst = band + (k * w) in
-      let prev_k = dst + w in
-      for col = 0 to w - 1 do
-        Array.unsafe_set cur (dst + col)
-          ((a *. Array.unsafe_get cur (prev_k + col))
-          +. (b *. Array.unsafe_get pc (dst + col)))
+    for col = 0 to w - 1 do
+      (* [at] is c(h, layer, k + 1)'s cell, whose value [run] holds. *)
+      let at = ref (band + span + col) in
+      let run = ref (Array.unsafe_get cur !at) in
+      for _ = 1 to layer do
+        at := !at - w;
+        let next = (a *. !run) +. (b *. Array.unsafe_get pc !at) in
+        Array.unsafe_set cur !at next;
+        run := next
       done
     done
   done
@@ -171,28 +261,35 @@ let layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i =
    by later layers, so the consumer must not keep them. *)
 let run_layers ctx ~g ~max_layer ~consume =
   let n = ctx.n_states and w = ctx.width and m = ctx.n_bands in
-  let size = n * m * (max_layer + 1) * w in
-  let store = [| Array.make size 0.0; Array.make size 0.0 |] in
-  let pc = Array.make size 0.0 in
-  let pngs = [| Array.copy g; Array.make (n * w) 0.0 |] in
+  let stride_h = (max_layer + 1) * w in
+  let size = n * m * stride_h in
+  let s =
+    { ctx; stride_h;
+      entry_base = Array.map (fun j -> j * m * stride_h) ctx.cols;
+      store = [| Array.make size 0.0; Array.make size 0.0 |];
+      pc = Array.make size 0.0;
+      pngs = [| Array.copy g; Array.make (n * w) 0.0 |];
+      layer = 0 }
+  in
   (* Layer 0: c(h,0,0)_i = g_i if rho_i >= rho_h else 0. *)
-  let cur = store.(0) in
+  let cur = s.store.(0) in
   for i = 0 to n - 1 do
     for h = 1 to ctx.level_of_state.(i) do
       Array.blit g (i * w) cur (offset ctx ~max_layer i h 0) w
     done
   done;
-  consume 0 cur pngs.(0);
+  consume 0 cur s.pngs.(0);
+  let states lo hi =
+    for i = lo to hi - 1 do
+      layer_at_state s i
+    done
+  in
   for layer = 1 to max_layer do
     Numerics.Cancel.check ctx.cancel;
-    let prev = store.((layer + 1) land 1) and cur = store.(layer land 1) in
-    let png_prev = pngs.((layer + 1) land 1) and png = pngs.(layer land 1) in
+    s.layer <- layer;
     Parallel.Pool.parallel_for ~cutoff:block_row_cutoff ctx.pool ~lo:0 ~hi:n
-      (fun lo hi ->
-        for i = lo to hi - 1 do
-          layer_at_state ctx ~max_layer ~layer ~prev ~cur ~pc ~png_prev ~png i
-        done);
-    consume layer cur png
+      states;
+    consume layer s.store.(layer land 1) s.pngs.(layer land 1)
   done
 
 let make_context ?(pool = Parallel.Pool.sequential) ?cancel mrm ~width =

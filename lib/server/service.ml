@@ -829,7 +829,17 @@ let serve_listeners t listeners =
         | [], _, _ -> loop ()
         | _ -> begin
             match Unix.accept l.lfd with
-            | client, _ ->
+            | client, peer ->
+              (* With several requests in flight, Nagle's algorithm
+                 would hold each small reply until the client
+                 acknowledged the previous one, and clients delay that
+                 acknowledgement.  Unix-domain sockets reject the
+                 option. *)
+              (match peer with
+               | Unix.ADDR_INET _ -> (
+                 try Unix.setsockopt client Unix.TCP_NODELAY true
+                 with Unix.Unix_error _ -> ())
+               | Unix.ADDR_UNIX _ -> ());
               handle client;
               loop ()
             | exception Unix.Unix_error _ ->

@@ -5,8 +5,10 @@ let sorted l = List.sort compare l
 let test_digraph () =
   let g = Graph.Digraph.of_edges 4 [ (0, 1); (1, 2); (0, 1); (2, 0); (3, 3) ] in
   Alcotest.(check int) "vertices" 4 (Graph.Digraph.n_vertices g);
-  Alcotest.(check bool) "edge present" true (Graph.Digraph.mem_edge g 0 1);
-  Alcotest.(check bool) "edge absent" false (Graph.Digraph.mem_edge g 1 0);
+  Alcotest.(check bool) "edge present" true
+    (List.mem 1 (Graph.Digraph.successors g 0));
+  Alcotest.(check bool) "edge absent" false
+    (List.mem 0 (Graph.Digraph.successors g 1));
   Alcotest.(check (list int)) "dedup successors" [ 1 ]
     (Graph.Digraph.successors g 0);
   Alcotest.(check (list int)) "self loop" [ 3 ] (Graph.Digraph.successors g 3);
@@ -19,8 +21,10 @@ let test_digraph () =
 let test_digraph_of_csr () =
   let a = Linalg.Csr.of_coo ~rows:3 ~cols:3 [ (0, 1, 2.0); (1, 2, 0.5) ] in
   let g = Graph.Digraph.of_csr a in
-  Alcotest.(check bool) "csr edge" true (Graph.Digraph.mem_edge g 0 1);
-  Alcotest.(check bool) "csr non-edge" false (Graph.Digraph.mem_edge g 2 0)
+  Alcotest.(check bool) "csr edge" true
+    (List.mem 1 (Graph.Digraph.successors g 0));
+  Alcotest.(check bool) "csr non-edge" false
+    (List.mem 0 (Graph.Digraph.successors g 2))
 
 (* 0 <-> 1 form one SCC; 2 -> 3 -> 2 form another; 0 -> 2 connects them;
    4 is a sink singleton reachable from 3. *)
@@ -59,10 +63,7 @@ let test_scc_cycle_and_dag () =
 let test_scc_large_chain () =
   (* Deep recursion check: the iterative Tarjan must survive a long path. *)
   let n = 200_000 in
-  let g = Graph.Digraph.create n in
-  for i = 0 to n - 2 do
-    Graph.Digraph.add_edge g i (i + 1)
-  done;
+  let g = Graph.Digraph.of_edges n (List.init (n - 1) (fun i -> (i, i + 1))) in
   Alcotest.(check int) "long chain" n (Graph.Scc.compute g).Graph.Scc.count
 
 let test_reach () =
@@ -149,6 +150,65 @@ let prop_forward_backward_dual =
       let bwd = Graph.Reach.backward (Graph.Digraph.reverse g) [ 0 ] in
       fwd = bwd)
 
+(* The array-backed graph against the list-and-Hashtbl reference it
+   replaced (Ref_graph): the same successor order, the same reversal and
+   reachability sets, and the same Tarjan numbering and member lists,
+   for graphs built from edge lists (with repeats) and from sparse
+   matrices (with stored zeros, which are not edges). *)
+let gen_oracle_graph =
+  QCheck2.Gen.(
+    let* n = int_range 1 12 in
+    let vertex = int_range 0 (n - 1) in
+    let* edges = list_size (int_range 0 40) (pair vertex vertex) in
+    let* weights = list_repeat (List.length edges) (int_range 0 2) in
+    let* through = array_repeat n bool in
+    let* targets = array_repeat n bool in
+    let* sources = list_size (int_range 0 3) vertex in
+    return (n, List.combine edges weights, through, targets, sources))
+
+let print_oracle_graph (n, edges, _, _, sources) =
+  Printf.sprintf "n = %d, edges = [%s], sources = [%s]" n
+    (String.concat "; "
+       (List.map (fun ((u, v), w) -> Printf.sprintf "(%d, %d, %d)" u v w) edges))
+    (String.concat "; " (List.map string_of_int sources))
+
+let matches_reference g r ~through ~targets ~sources =
+  let n = Graph.Digraph.n_vertices g in
+  let all f = List.for_all f (List.init n Fun.id) in
+  let same_successors g r =
+    all (fun u -> Graph.Digraph.successors g u = Ref_graph.Digraph.successors r u)
+  in
+  let count, component, members = Ref_graph.Scc.compute r in
+  let scc = Graph.Scc.compute g in
+  n = Ref_graph.Digraph.n_vertices r
+  && same_successors g r
+  && same_successors (Graph.Digraph.reverse g) (Ref_graph.Digraph.reverse r)
+  && Graph.Reach.forward g sources = Ref_graph.Reach.forward r sources
+  && Graph.Reach.backward g sources = Ref_graph.Reach.backward r sources
+  && Graph.Reach.backward_constrained g ~through ~targets
+     = Ref_graph.Reach.backward_constrained r ~through ~targets
+  && scc.Graph.Scc.count = count
+  && scc.Graph.Scc.component = component
+  && scc.Graph.Scc.members = members
+
+let prop_matches_reference =
+  QCheck2.Test.make ~count:300 ~print:print_oracle_graph
+    ~name:"digraph matches the list-and-Hashtbl reference" gen_oracle_graph
+    (fun (n, edges, through, targets, sources) ->
+      let pairs = List.map fst edges in
+      (* of_coo drops entries summing to 0; those summing to 1 become
+         stored zeros, which are not edges. *)
+      let matrix =
+        Linalg.Csr.map
+          (fun v -> if v = 1.0 then 0.0 else v)
+          (Linalg.Csr.of_coo ~rows:n ~cols:n
+             (List.map (fun ((u, v), w) -> (u, v, float_of_int w)) edges))
+      in
+      matches_reference (Graph.Digraph.of_edges n pairs)
+        (Ref_graph.Digraph.of_edges n pairs) ~through ~targets ~sources
+      && matches_reference (Graph.Digraph.of_csr matrix)
+           (Ref_graph.Digraph.of_csr matrix) ~through ~targets ~sources)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "graph",
@@ -163,4 +223,5 @@ let suite =
       Alcotest.test_case "until prob 0/1" `Quick test_until_prob01;
       q prop_scc_partition;
       q prop_bottom_exists;
-      q prop_forward_backward_dual ] )
+      q prop_forward_backward_dual;
+      q prop_matches_reference ] )

@@ -153,6 +153,13 @@ let test_truncation_edges () =
   let n = Numerics.Poisson.right_truncation_point ~lambda:117.0 ~epsilon:1e-17 in
   if n < 117 || cdf n <> cdf (10 * n) then
     Alcotest.failf "lambda 117 eps 1e-17: N = %d leaves mass behind" n;
+  (* At lambda = 10^6 the pmf goes subnormal at n = 1,037,665 and is 0
+     from n = 1,038,646; the walk used to run on to N = 1,999,999, since a
+     subnormal term times a ratio near 1 rounds back to itself. *)
+  let n = Numerics.Poisson.right_truncation_point ~lambda:1e6 ~epsilon:1e-12 in
+  if n > 1_038_646 then
+    Alcotest.failf "lambda 1e6 eps 1e-12: N = %d runs past the pmf's last \
+                    non-zero term" n;
   Alcotest.check_raises "bad epsilon"
     (Invalid_argument "Poisson.right_truncation_point: epsilon outside (0,1)")
     (fun () ->

@@ -452,6 +452,92 @@ let test_golden_answers () =
           "0x0p+0"; "0x1.d14dd44483d4cp-2"; "0x0p+0"; "0x1.3d18913c08585p-4" ]
       ) ]
 
+(* The %h of the paths the golden per-state answers do not reach,
+   recorded before the Sericola layer kernel, the digraph and the
+   lumping signatures were rewritten: the kernel's width-n path
+   (joint_matrix), its multi-bound series (solve_many), a steady-state
+   sum over several bottom components (their numbering orders it), an
+   unbounded until (prob0/prob1 reachability) and the problem-level
+   pipeline with the merge, init pruning and the quotient all firing. *)
+
+let popcount s =
+  let rec go s acc = if s = 0 then acc else go (s lsr 1) (acc + (s land 1)) in
+  go s 0
+
+let test_golden_paths () =
+  let hex = Printf.sprintf "%h" in
+  let adhoc = Models.Adhoc.mrm () in
+  let joint = Perf.Sericola.joint_matrix adhoc ~t:0.5 ~r:100.0 in
+  let cells =
+    List.concat_map (fun row -> Array.to_list (Array.map hex row))
+      (Array.to_list joint)
+  in
+  Alcotest.(check int) "adhoc joint matrix distinct values" 81
+    (List.length (List.sort_uniq compare cells));
+  Alcotest.(check string) "adhoc joint matrix digest"
+    "3273c81dd40f2aef3c248768a462fd6c"
+    (Digest.to_hex (Digest.string (String.concat "," cells)));
+  check_golden "adhoc joint matrix, initial row"
+    (Array.to_list (Array.map hex joint.(Models.Adhoc.initial_state)))
+    [ "0x1.0f05b67c5e0eap-9"; "0x1.fefcb92f9fce1p-10"; "0x1.fedda55b4283dp-19";
+      "0x1.da4cc321131dcp-19"; "0x1.c94be8ae44902p-18"; "0x1.a407494a259a1p-18";
+      "0x1.1427dc513a4eap-10"; "0x1.4a1a73d2f7233p-11"; "0x1.36d48580ba63bp-10"
+    ];
+  let q3 =
+    let sat = Markov.Labeling.sat (Models.Adhoc.labeling ()) in
+    let phi = Array.map2 ( || ) (sat "call_idle") (sat "doze") in
+    Perf.Reduced.problem
+      (Perf.Reduced.reduce adhoc ~phi ~psi:(sat "call_initiated"))
+      ~init:(Linalg.Vec.unit 9 Models.Adhoc.initial_state)
+      ~time_bound:24.0 ~reward_bound:600.0
+  in
+  check_golden "adhoc Q3 solve_many"
+    (Array.to_list
+       (Array.map hex
+          (Perf.Sericola.solve_many q3 ~reward_bounds:[| 300.0; 600.0; 900.0 |])))
+    [ "0x1.d8a80abfa37a6p-2"; "0x1.fcecb5db3c94p-2"; "0x1.ffc2717432312p-2" ];
+  (* Seed 11's bottom components are {2, 7}, {8} and {1}. *)
+  let m, labeling = random_9 11L in
+  check_golden "random seed 11 steady state"
+    (golden_answer m labeling "S=? ( c )")
+    [ "0x1.a2aa2bc29b884p-3"; "0x1p+0"; "0x1.8ebd652600f6fp-2";
+      "0x1.8ebd652600f6fp-2"; "0x1.a10a4b9f1a6dep-3"; "0x1.a2aa2bc29b8fdp-3";
+      "0x1.510deca614f4fp-1"; "0x1.8ebd652600f6fp-2"; "0x0p+0" ];
+  let m, labeling = random_9 22L in
+  check_golden "random seed 22 unbounded until"
+    (golden_answer m labeling "P=? ( (a | b) U c )")
+    [ "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x1p+0"; "0x1.965f7020c8d9cp-3";
+      "0x1.6b336d5be09cp-1"; "0x0p+0"; "0x1p+0"; "0x0p+0" ];
+  (* Seven tracked processors, Phi = popcount in {2, 4, 5, 7}, Psi =
+     popcount 3, from a five-processor state: the all-up state can reach
+     Psi only through FAIL (the merge fires), the popcount-2 states are
+     unreachable from the start (init pruning fires), and the rest lumps
+     by popcount. *)
+  let c =
+    { Models.Multiprocessor.n_processors = 7; failure_rate = 0.2;
+      repair_rate = 1.0; capacity = 5; throughput_per_processor = 1.0 }
+  in
+  let m = Models.Multiprocessor.tracked_mrm c in
+  let n = Markov.Mrm.n_states m in
+  let phi = Array.init n (fun s -> List.mem (popcount s) [ 2; 4; 5; 7 ]) in
+  let psi = Array.init n (fun s -> popcount s = 3) in
+  let p =
+    Perf.Reduced.problem (Perf.Reduced.reduce m ~phi ~psi)
+      ~init:(Linalg.Vec.unit n 0b0011111) ~time_bound:2.0 ~reward_bound:8.0
+  in
+  let tel = Telemetry.create () in
+  let v =
+    Perf.Engine.solve ~telemetry:tel ~reduction:Perf.Reduction.default
+      (Perf.Engine.Occupation_time { epsilon = 1e-12 }) p
+  in
+  Alcotest.(check string) "7-processor pipeline" "0x1.bfed9c29ffeb5p-3" (hex v);
+  Alcotest.(check (list int)) "7-processor stages"
+    [ 80; 4; 22; 1; 21 ]
+    (List.map (counter tel)
+       [ "reduction.states_before"; "reduction.states_after";
+         "reduction.pruned_states"; "reduction.lumped";
+         "reduction.init_pruned_states" ])
+
 let suite =
   ( "reduction",
     [ QCheck_alcotest.to_alcotest pipeline_matches_baseline;
@@ -467,5 +553,7 @@ let suite =
       Alcotest.test_case "tracked multiprocessor collapses" `Quick
         test_tracked_multiprocessor_collapses;
       Alcotest.test_case "opt-out is identity" `Quick test_opt_out_is_identity;
-      Alcotest.test_case "golden per-state answers" `Quick test_golden_answers
+      Alcotest.test_case "golden per-state answers" `Quick test_golden_answers;
+      Alcotest.test_case "golden kernel, graph and pipeline paths" `Quick
+        test_golden_paths
     ] )
