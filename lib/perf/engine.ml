@@ -51,13 +51,51 @@ let solve_windowed ?pool ?telemetry ?cancel ~epsilon (p : Problem.t) =
     | Explore.Windowed.Reward_bound_active _ -> fallback ()
   end
 
-let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
-  Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
-  let p =
-    match reduction with
-    | None -> p
-    | Some config -> Reduction.apply ?telemetry config p
+(* Sericola computes |S| m (N+1)(N+2)/2 cells, and its truncation point
+   N grows with q = Lambda t.  The duality of Baier et al. (Theorem 1
+   there) asks the same question on a model whose rates are divided by
+   the rewards, with t and r swapped: it keeps |S|, the sparsity pattern
+   and the level count m, and its q is r times the largest E(s)/rho(s).
+   So the side with the smaller q runs fewer layers and cells.  The swap
+   needs no impulses and a positive reward on every non-absorbing state
+   (what [Duality.dual] checks), and it preserves the answer only in the
+   Theorem 1 form: a goal state that can be left, or that earns reward,
+   turns its time into reward on the other side.  One scan checks all of
+   it and finds the dual's q.  A tie stays primal. *)
+let dual_is_cheaper (p : Problem.t) =
+  let mrm = p.Problem.mrm in
+  let chain = Markov.Mrm.ctmc mrm in
+  let rec scan s dual_rate =
+    if s = Markov.Mrm.n_states mrm then Some dual_rate
+    else
+      let rho = Markov.Mrm.reward mrm s in
+      if Markov.Ctmc.is_absorbing chain s then
+        if p.Problem.goal.(s) && rho <> 0.0 then None
+        else scan (s + 1) dual_rate
+      else if p.Problem.goal.(s) || rho <= 0.0 then None
+      else
+        scan (s + 1)
+          (Float.max dual_rate (Markov.Ctmc.exit_rate chain s /. rho))
   in
+  p.Problem.reward_bound > 0.0
+  && (not (Markov.Mrm.has_impulses mrm))
+  &&
+  match scan 0 0.0 with
+  | None -> false
+  | Some dual_rate ->
+    p.Problem.reward_bound *. dual_rate
+    < p.Problem.time_bound *. Markov.Ctmc.max_exit_rate chain
+
+(* The side an occupation-time solve runs on.  The other procedures stay
+   primal: their costs depend on t, r and their own knobs differently. *)
+let choose_side ?telemetry spec p =
+  match spec with
+  | Occupation_time _ when dual_is_cheaper p ->
+    Telemetry.add telemetry "sericola.dualised" 1;
+    Problem.dual p
+  | _ -> p
+
+let dispatch ?pool ?telemetry ?cancel spec (p : Problem.t) =
   match spec with
   | Windowed { epsilon } -> solve_windowed ?pool ?telemetry ?cancel ~epsilon p
   | _ ->
@@ -75,15 +113,31 @@ let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
         Sericola.solve ~epsilon ?pool ?telemetry ?cancel p
       | Windowed _ -> assert false
 
+let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
+  Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
+  let p =
+    match reduction with
+    | None -> p
+    | Some config -> Reduction.apply ?telemetry config p
+  in
+  dispatch ?pool ?telemetry ?cancel spec (choose_side ?telemetry spec p)
+
+(* The side is chosen once, before the trivial-bound test: the rule reads
+   only the model, the goal and the bounds, which every row shares, so
+   each row runs on the side its own [solve] would pick. *)
 let solve_rows ?pool ?telemetry ?cancel spec (p : Problem.t) ~rows =
+  let p = choose_side ?telemetry spec p in
+  let span () = Telemetry.with_span telemetry ("engine." ^ name spec) in
   match spec with
   | Occupation_time { epsilon }
     when not (Problem.reward_trivially_satisfied p) ->
-    Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
+    span () @@ fun () ->
     Sericola.solve_rows ~epsilon ?pool ?telemetry ?cancel p ~rows
   | _ ->
     Array.map
-      (fun b -> solve ?pool ?telemetry ?cancel spec (Problem.from_state p b))
+      (fun b ->
+        span () @@ fun () ->
+        dispatch ?pool ?telemetry ?cancel spec (Problem.from_state p b))
       rows
 
 let of_string text =

@@ -8,7 +8,23 @@ type spec =
       (** Section 4.3; accuracy grows as the step shrinks (cost is
           quadratic in [1 /. step]). *)
   | Occupation_time of { epsilon : float }
-      (** Section 4.4; the only procedure with an a-priori error bound. *)
+      (** Section 4.4; the only procedure with an a-priori error bound.
+
+          Each solve first picks the side of the time/reward duality
+          (Baier et al., Theorem 1; {!Problem.dual}) it runs on.  It
+          takes the dual when the model is
+          {!Markov.Duality.is_dualizable}, every goal state is absorbing
+          with reward 0 (the Theorem 1 form, without which the dual asks
+          a different question), [r > 0], and
+          [q~ = r * max E(s)/rho(s)] over the non-absorbing states is
+          strictly below [q = t * max E(s)].  Sericola computes
+          [|S| m (N+1)(N+2)/2] cells with [N] growing in [q], and the
+          dual keeps [|S|], the sparsity pattern and [m], so the rule
+          picks the side with fewer layers and cells from the input
+          alone.  Both sides agree within [2 epsilon]; a problem the
+          rule keeps primal is solved exactly as before.  The telemetry
+          counter [sericola.dualised] counts the solves that took the
+          dual. *)
   | Windowed of { epsilon : float }
       (** Sliding-window truncated uniformisation ({!Explore.Windowed})
           run over the explicit model wrapped as a successor function:
@@ -41,6 +57,9 @@ val solve :
     are untouched) first runs the problem through {!Reduction.apply}:
     goal-unreachable merge, init-reachability pruning and the
     ordinary-lumpability quotient, all exact, before the engine sees it.
+    The occupation-time engine then picks its side (see
+    {!Occupation_time}) on the problem the pipeline hands it, before the
+    trivial-bound shortcut.
 
     [pool] runs the chosen procedure's hot loops on a domain pool (see
     {!Parallel.Pool}): row-partitioned matrix–vector products for the
@@ -68,9 +87,11 @@ val solve_rows :
   float array
 (** [solve_rows spec p ~rows] is [solve spec (Problem.from_state p b)] for
     every state [b] of [rows], bit for bit.  The occupation-time engine
-    answers all rows from one recursion ({!Sericola.solve_rows}); the other
-    engines, and problems whose reward bound cannot bite, run one {!solve}
-    per row.  The initial distribution of [p] is ignored. *)
+    picks its side once (the rule reads only the model, the goal and the
+    bounds, which the rows share) and answers all rows from one recursion
+    ({!Sericola.solve_rows}); the other engines, and problems whose
+    reward bound cannot bite on the chosen side, run one solve per row.
+    The initial distribution of [p] is ignored. *)
 
 val of_string : string -> (spec, string) result
 (** Parse the CLI syntax shared by every front-end ([csrl-check]'s and

@@ -14,11 +14,21 @@
     The approximation error vanishes as [k] grows (the Erlang-[k]
     distribution concentrates on [r]); the paper observes convergence from
     below and needs roughly 250 phases for three-digit accuracy on the
-    case study — both reproduced in the benches. *)
+    case study — both reproduced in the benches.
+
+    An impulse reward [iota] advances the counter by [round (iota *. k /.
+    r)] phases at once.  Impulses put atoms into [Y_t], and one can land
+    exactly on [r]: a model with impulses therefore has a phase [k] per
+    state ("at the bound", [|S|] more states), entered when a jump
+    reaches [k] exactly in a state without rate reward and left for the
+    sink by any further reward, so a path that earns exactly [r] counts,
+    as [Y_t <= r] says. *)
 
 val expanded_ctmc : Problem.t -> phases:int -> Markov.Ctmc.t
-(** The (state, phase) chain; state [(s, i)] has index [s * phases + i],
-    the exhausted-budget sink is the last index.  Exposed for tests and
+(** The (state, phase) chain; state [(s, i)] has index [s * phases + i]
+    for [i < phases], the at-bound state [(s, phases)] (impulse models
+    only) [|S| * phases + s], and the exhausted-budget sink is the last
+    index.  Exposed for tests and
     for the tensor-structure discussion in DESIGN.md. *)
 
 val solve :

@@ -27,6 +27,15 @@ let from_state p b =
   of_initial_state p.mrm ~init:b ~goal:p.goal ~time_bound:p.time_bound
     ~reward_bound:p.reward_bound
 
+let dual p =
+  if not (p.reward_bound > 0.0) then
+    invalid_arg
+      "Problem.dual: needs a positive reward bound (the dual's time bound)";
+  { p with
+    mrm = Markov.Duality.dual p.mrm;
+    time_bound = p.reward_bound;
+    reward_bound = p.time_bound }
+
 let reward_trivially_satisfied p =
   (* With impulse rewards the accumulated reward has no a-priori cap (the
      number of jumps is unbounded), so nothing is trivially satisfied. *)

@@ -11,7 +11,8 @@
     strict inequality [Y_t < r]; the two differ only on the null set of
     paths accumulating exactly [r], which carries probability zero unless
     [r] sits exactly on an atom [rho s *. t] of a path that never leaves
-    state [s] — the band treatment in the engines makes the convention
+    state [s], or on a sum of impulse rewards — the band treatment in the
+    engines and pseudo-Erlang's at-bound phase make the convention
     explicit.) *)
 
 type t = private {
@@ -36,6 +37,15 @@ val of_initial_state :
 val from_state : t -> int -> t
 (** [from_state p b] asks [p]'s question from the point mass at state
     [b]: {!of_initial_state} with [p]'s model, goal and bounds. *)
+
+val dual : t -> t
+(** [dual p] asks [p]'s question on {!Markov.Duality.dual} of its model
+    with the time and reward bounds swapped, from the same initial
+    distribution and for the same goal set.  By the duality theorem of
+    Baier et al. (Theorem 1 there) it has [p]'s answer when every goal
+    state is absorbing with reward 0 — the Theorem 1 form — and not in
+    general.  Raises [Invalid_argument] when the model is not
+    {!Markov.Duality.is_dualizable} or the reward bound is 0. *)
 
 val reward_trivially_satisfied : t -> bool
 (** [rho_max *. t <= r] on an impulse-free model: the reward bound can

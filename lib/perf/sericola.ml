@@ -430,12 +430,14 @@ let paper_series ~epsilon ?pool ?telemetry ?cancel (p : Problem.t) ~band ~x =
   record_recursion telemetry ~ctx ~max_layer;
   (ctx, max_layer, weights)
 
-(* The Poisson mass actually consumed by the truncated series bounds the
-   a-posteriori truncation error — the quantity the differential tests
-   pin against the requested epsilon. *)
-let record_achieved telemetry consumed =
+(* The Poisson mass the truncated series leaves out, as a fraction of
+   the window's summed mass W: the truncation point normalises by the
+   computed mass the same way, so this stays within rounding of the
+   requested epsilon even where the computed terms do not sum to 1. *)
+let record_achieved telemetry weights consumed =
   Telemetry.record telemetry "sericola.achieved_epsilon"
-    (Float.max 0.0 (1.0 -. Numerics.Kahan.sum consumed))
+    (Float.max 0.0
+       (1.0 -. (Numerics.Kahan.sum consumed /. weights.Numerics.Fox_glynn.total)))
 
 let solve_detailed ?(epsilon = 1e-12) ?pool ?telemetry ?cancel
     (p : Problem.t) =
@@ -480,7 +482,7 @@ let solve_detailed ?(epsilon = 1e-12) ?pool ?telemetry ?cancel
           done;
           Numerics.Kahan.add tail (weight *. Numerics.Kahan.sum layer_acc)
         end);
-    record_achieved telemetry consumed;
+    record_achieved telemetry weights consumed;
     let tail_mass = Numerics.Float_utils.clamp_prob (Numerics.Kahan.sum tail) in
     let transient_mass =
       Numerics.Float_utils.clamp_prob (Numerics.Kahan.sum trans)
@@ -537,7 +539,7 @@ let solve_rows ?(epsilon = 1e-12) ?pool ?telemetry ?cancel (p : Problem.t)
                 (weight *. binomial_sum bin cur ~base ~layer))
             rows
         end);
-    record_achieved telemetry consumed;
+    record_achieved telemetry weights consumed;
     Array.mapi
       (fun j _ ->
         let tail_mass =

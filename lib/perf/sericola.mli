@@ -52,8 +52,10 @@ val solve_detailed :
     [sericola.cells] (blocks of the [C(h,n,k)] recursion actually
     computed), the gauges [sericola.bands], [sericola.band], [sericola.x],
     [sericola.epsilon] (requested) and [sericola.achieved_epsilon] (the
-    Poisson mass left out by the truncation — an a-posteriori bound on the
-    series error, always at most the requested [epsilon]), plus the
+    Poisson mass left out by the truncation, as a fraction of the Poisson
+    window's summed mass — an a-posteriori bound on the series error; it
+    is at most the requested [epsilon] up to the rounding of those sums,
+    about 1e-16), plus the
     [fox_glynn.*] and [uniformisation.*] measurements of the embedded
     transient solve.  Recording only observes the computation.
 

@@ -44,14 +44,16 @@ type counters = {
 type outcome = Shutdown | Eof
 
 (* One serving session: its reorder buffer (responses leave in admission
-   order), the in-flight count the dispatcher's barrier waits on, and
-   the outcome the session loop reports. *)
+   order), the in-flight count the dispatcher's barrier waits on, the
+   outcome the session loop reports and what to do as soon as a
+   [shutdown] reply is produced. *)
 type session = {
   reorder : Io.Json.t Reorder.t;
   flight_lock : Mutex.t;
   flight_zero : Condition.t;
   mutable inflight : int;
   mutable outcome : outcome;
+  on_shutdown : unit -> unit;
 }
 
 type admitted =
@@ -575,12 +577,13 @@ let dispatch_loop t ~exec ~admission () =
            | None ->
              flight_barrier session;
              let response = execute_total t ~admitted env in
+             Reorder.submit session.reorder ~seq response;
              (match env.Protocol.request with
               | Protocol.Shutdown ->
                 Mutex.protect session.flight_lock (fun () ->
-                    session.outcome <- Shutdown)
-              | _ -> ());
-             Reorder.submit session.reorder ~seq response
+                    session.outcome <- Shutdown);
+                session.on_shutdown ()
+              | _ -> ())
          end);
       loop ()
   in
@@ -643,7 +646,10 @@ let create config =
 (* Sessions: reader thread -> shared admission queue -> dispatcher ->
    executor shards -> reorder buffer -> writer thread.                 *)
 
-let serve_channels t ~input ~output =
+(* One session over [input]/[output]; [on_shutdown] runs on the
+   dispatcher as soon as the reply to a [shutdown] request is produced,
+   before the session ends. *)
+let serve_session ~on_shutdown t ~input ~output =
   let rt = runtime t in
   let out_lock = Mutex.create () in
   let write_json json =
@@ -661,7 +667,8 @@ let serve_channels t ~input ~output =
       flight_lock = Mutex.create ();
       flight_zero = Condition.create ();
       inflight = 0;
-      outcome = Eof }
+      outcome = Eof;
+      on_shutdown }
   in
   let next_seq = ref 0 in
   let reader () =
@@ -737,6 +744,9 @@ let serve_channels t ~input ~output =
   Thread.join writer_thread;
   Mutex.protect session.flight_lock (fun () -> session.outcome)
 
+let serve_channels t ~input ~output =
+  serve_session ~on_shutdown:ignore t ~input ~output
+
 let serve_stdio t = serve_channels t ~input:stdin ~output:stdout
 
 (* ------------------------------------------------------------------ *)
@@ -795,6 +805,10 @@ let tcp_listener ~host ~port =
          (Unix.error_message err))
   | exception Failure message -> Error message
 
+(* How long an accept loop waits in select(2) before it looks at the
+   stop flag again: the longest a shutdown leaves a listener open. *)
+let accept_poll_s = 0.1
+
 let serve_listeners t listeners =
   ignore (runtime t);
   let stopping = Atomic.make false in
@@ -806,29 +820,32 @@ let serve_listeners t listeners =
         (fun () ->
           let input = Unix.in_channel_of_descr client
           and output = Unix.out_channel_of_descr client in
-          let outcome = serve_channels t ~input ~output in
+          let on_shutdown () = Atomic.set stopping true in
+          ignore (serve_session ~on_shutdown t ~input ~output : outcome);
           (* The channels share one descriptor: closing the out side
              flushes and closes it.  The in side is left to the GC, which
              never closes descriptors: a second close could hit the
              number after accept(2) has handed it to a new connection. *)
-          close_out_noerr output;
-          match outcome with
-          | Shutdown -> Atomic.set stopping true
-          | Eof -> ())
+          close_out_noerr output)
         ()
     in
     Mutex.protect sessions_lock (fun () -> sessions := thread :: !sessions)
   in
   (* Accept via a polling select so a shutdown served on one connection
-     stops every accept loop promptly — closing a descriptor another
-     thread is blocked in accept(2) on is not portable. *)
+     stops every accept loop within one poll — closing a descriptor
+     another thread is blocked in accept(2) on is not portable.  The
+     flag is set when the shutdown reply is produced, not when its
+     session ends: a client that keeps its socket open must not keep the
+     daemon accepting. *)
   let accept_loop l () =
     let rec loop () =
       if not (Atomic.get stopping) then begin
-        match Unix.select [ l.lfd ] [] [] 0.1 with
+        match Unix.select [ l.lfd ] [] [] accept_poll_s with
         | [], _, _ -> loop ()
         | _ -> begin
             match Unix.accept l.lfd with
+            | client, _ when Atomic.get stopping ->
+              (try Unix.close client with Unix.Unix_error _ -> ())
             | client, peer ->
               (* With several requests in flight, Nagle's algorithm
                  would hold each small reply until the client
@@ -851,6 +868,8 @@ let serve_listeners t listeners =
     in
     loop ()
   in
+  (* The listeners close once no accept loop runs: new connections are
+     refused from then on, while the live sessions drain. *)
   Fun.protect
     ~finally:(fun () ->
       List.iter
@@ -860,23 +879,23 @@ let serve_listeners t listeners =
         listeners)
     (fun () ->
       let acceptors = List.map (fun l -> Thread.create (accept_loop l) ()) listeners in
-      List.iter Thread.join acceptors;
-      (* Drain active sessions before returning so the registry is quiet
-         when the caller stops the service. *)
-      let rec join_all () =
-        let pending =
-          Mutex.protect sessions_lock (fun () ->
-              let p = !sessions in
-              sessions := [];
-              p)
-        in
-        match pending with
-        | [] -> ()
-        | threads ->
-          List.iter Thread.join threads;
-          join_all ()
-      in
-      join_all ())
+      List.iter Thread.join acceptors);
+  (* Drain active sessions before returning so the registry is quiet
+     when the caller stops the service. *)
+  let rec join_all () =
+    let pending =
+      Mutex.protect sessions_lock (fun () ->
+          let p = !sessions in
+          sessions := [];
+          p)
+    in
+    match pending with
+    | [] -> ()
+    | threads ->
+      List.iter Thread.join threads;
+      join_all ()
+  in
+  join_all ()
 
 let serve_socket t ~path =
   match unix_listener ~path with

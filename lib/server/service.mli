@@ -129,9 +129,13 @@ val tcp_listener : host:string -> port:int -> (listener * int, string) result
 val serve_listeners : t -> listener list -> unit
 (** Accept loop over any number of listeners, serving each connection in
     its own session thread — connections are concurrent; the registry
-    and its warm caches persist across and between them.  Returns after
-    a client's [shutdown] request: accepting stops, live sessions are
-    drained, every listener is closed and cleaned up. *)
+    and its warm caches persist across and between them.  A client's
+    [shutdown] request stops every accept loop within 100 ms of its
+    reply, even while that client keeps its socket open; every listener
+    is then closed and cleaned up, so new connections are refused.
+    Returns once the live sessions have drained (each ends at its
+    client's EOF; the one that sent [shutdown] refuses later
+    requests). *)
 
 val serve_socket : t -> path:string -> unit
 (** [serve_listeners] over a single Unix-domain listener at [path];

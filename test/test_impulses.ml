@@ -61,6 +61,13 @@ let test_discretisation_closed_form () =
       ~time_bound:t ~reward_bound:2.0
   in
   check_close "impulse over budget" 0.0
+    (Perf.Discretization.solve ~step:(1.0 /. 128.0) p);
+  (* c = r = 2: the jump spends the budget exactly, and Y_t <= r holds. *)
+  let p =
+    Perf.Problem.of_initial_state (single_impulse ~lam ~c:2.0) ~init:0 ~goal
+      ~time_bound:t ~reward_bound:2.0
+  in
+  check_close ~tol:2e-3 "impulse exactly at budget" reach
     (Perf.Discretization.solve ~step:(1.0 /. 128.0) p)
 
 let test_erlang_closed_form () =
@@ -78,7 +85,25 @@ let test_erlang_closed_form () =
       ~time_bound:t ~reward_bound:2.0
   in
   check_close ~tol:2e-3 "impulse over budget" 0.0
-    (Perf.Erlang_approx.solve ~phases:2048 p)
+    (Perf.Erlang_approx.solve ~phases:2048 p);
+  (* A jump of exactly r lands on the at-bound phase, within budget. *)
+  let p =
+    Perf.Problem.of_initial_state (single_impulse ~lam ~c:2.0) ~init:0 ~goal
+      ~time_bound:t ~reward_bound:2.0
+  in
+  check_close ~tol:2e-3 "impulse exactly at budget" reach
+    (Perf.Erlang_approx.solve ~phases:2048 p);
+  let chain = Perf.Erlang_approx.expanded_ctmc p ~phases:4 in
+  Alcotest.(check int) "at-bound states" 11 (Markov.Ctmc.n_states chain);
+  check_close "jump to the bound" lam (Markov.Ctmc.rate chain 0 9);
+  (* Past the bound (r = 1.5, a jump of round(2 * 4 / 1.5) = 5 > 4
+     phases) the jump exhausts the budget. *)
+  let p =
+    Perf.Problem.of_initial_state (single_impulse ~lam ~c:2.0) ~init:0 ~goal
+      ~time_bound:t ~reward_bound:1.5
+  in
+  let chain = Perf.Erlang_approx.expanded_ctmc p ~phases:4 in
+  check_close "jump past the bound" lam (Markov.Ctmc.rate chain 0 10)
 
 (* Mixed rate + impulse rewards: s0 has rate reward 1 and the jump earns
    c, so Y at the goal is sojourn + c and
@@ -223,7 +248,24 @@ let test_checker_with_impulses () =
     Alcotest.failf "checker %.5f outside MC %.5f +- %.5f" values.{0}
       iv.Sim.Estimate.mean iv.Sim.Estimate.half_width
 
-(* Engines + simulation agree on random impulse models. *)
+(* Engines + simulation agree on random impulse models.
+
+   Discretisation errs to first order in its step, and at d = 1/128 that
+   error can exceed any fixed slack (0.011 on seed 5775's problem).  So
+   its tolerance comes from the engine: the Richardson value
+   2 v(d/2) - v(d) cancels the first-order term, and |v(d/2) - v(d)|,
+   the first-order error left in v(d/2), bounds what remains of it.
+   Pseudo-Erlang keeps its 0.03.  Both are held to a 99.9% simulation
+   interval of Pr{Y_t <= r}.
+
+   Each interval misses the true value one time in a thousand, and a
+   sweep over 40 qcheck seeds makes 1,200 comparisons: seed 38 draws
+   problem 122, where both engines read 0.41895 (a million paths:
+   0.41913 +- 0.00162) but the 20,000 paths read 0.43105, 3.4 sigma off.
+   So a miss gets a second look: 80,000 fresh paths, whose 99.9%
+   interval is half as wide.  An engine error large enough for the
+   first interval to catch fails the second as well; a chance miss
+   repeats one time in a thousand. *)
 let prop_impulse_engines_agree =
   QCheck2.Test.make ~count:15 ~name:"impulse engines vs simulation"
     QCheck2.Gen.(int_range 0 10_000)
@@ -232,40 +274,50 @@ let prop_impulse_engines_agree =
         Models.Random_mrm.generate_problem ~seed:(Int64.of_int seed)
           Models.Random_mrm.with_impulses
       in
-      let tv =
+      let d =
         let limit = Perf.Discretization.max_stable_step p in
         let d = ref (1.0 /. 16.0) in
         while !d > limit || !d > 1.0 /. 128.0 do
           d := !d /. 2.0
         done;
-        Perf.Discretization.solve ~step:!d p
+        !d
       in
+      let tv = Perf.Discretization.solve ~step:d p in
+      let tv_half = Perf.Discretization.solve ~step:(d /. 2.0) p in
+      let richardson = (2.0 *. tv_half) -. tv in
+      let tv_error = Float.abs (tv_half -. tv) in
       let erlang = Perf.Erlang_approx.solve ~phases:512 p in
-      if Float.abs (tv -. erlang) > 0.03 then
-        QCheck2.Test.fail_reportf "tv %.5f vs erlang %.5f (seed %d)" tv erlang
-          seed
-      else begin
-        let init =
-          let found = ref 0 in
-          Array.iteri (fun i v -> if v > 0.5 then found := i) (Linalg.Vec.to_array p.Perf.Problem.init);
-          !found
+      let init =
+        let found = ref 0 in
+        Array.iteri (fun i v -> if v > 0.5 then found := i) (Linalg.Vec.to_array p.Perf.Problem.init);
+        !found
+      in
+      let rng = Sim.Rng.create ~seed:(Int64.of_int (seed + 31)) in
+      let simulate samples =
+        Sim.Estimate.reward_bounded_reachability ~confidence:0.999 rng
+          p.Perf.Problem.mrm ~init ~goal:p.Perf.Problem.goal
+          ~time_bound:p.Perf.Problem.time_bound
+          ~reward_bound:p.Perf.Problem.reward_bound ~samples
+      in
+      let agrees iv =
+        let near value error =
+          Float.abs (value -. iv.Sim.Estimate.mean)
+          <= error +. iv.Sim.Estimate.half_width
         in
-        let rng = Sim.Rng.create ~seed:(Int64.of_int (seed + 31)) in
-        let iv =
-          Sim.Estimate.reward_bounded_reachability ~confidence:0.999 rng
-            p.Perf.Problem.mrm ~init ~goal:p.Perf.Problem.goal
-            ~time_bound:p.Perf.Problem.time_bound
-            ~reward_bound:p.Perf.Problem.reward_bound ~samples:20_000
-        in
-        let ok =
-          Sim.Estimate.contains iv tv
-          || Float.abs (tv -. iv.Sim.Estimate.mean) <= 6e-3
-        in
-        if not ok then
-          QCheck2.Test.fail_reportf "tv %.5f outside MC %.5f +- %.5f (seed %d)"
-            tv iv.Sim.Estimate.mean iv.Sim.Estimate.half_width seed
-        else true
-      end)
+        near richardson tv_error && near erlang 0.03
+      in
+      let first = simulate 20_000 in
+      agrees first
+      ||
+      let second = simulate 80_000 in
+      agrees second
+      || QCheck2.Test.fail_reportf
+           "richardson %.5f (+- %.5f: tv %.5f at d = %g, %.5f at d/2) and \
+            erlang-512 %.5f (+- 0.03) against MC %.5f +- %.5f, then %.5f +- \
+            %.5f (seed %d)"
+           richardson tv_error tv d tv_half erlang first.Sim.Estimate.mean
+           first.Sim.Estimate.half_width second.Sim.Estimate.mean
+           second.Sim.Estimate.half_width seed)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

@@ -153,6 +153,16 @@ let test_truncation_edges () =
   let n = Numerics.Poisson.right_truncation_point ~lambda:117.0 ~epsilon:1e-17 in
   if n < 117 || cdf n <> cdf (10 * n) then
     Alcotest.failf "lambda 117 eps 1e-17: N = %d leaves mass behind" n;
+  (* An epsilon below that rounding floor asks for a fraction of the
+     mass that is there: at lambda = 117 the terms sum to 1 - 9.7e-14,
+     and 1e-14 used to push N to the underflow point (719). *)
+  let mass = cdf 2000 in
+  let n = Numerics.Poisson.right_truncation_point ~lambda:117.0 ~epsilon:1e-14 in
+  Alcotest.(check int) "lambda 117 eps 1e-14" 209 n;
+  let reaches k = cdf k >= (1.0 -. 1e-14) *. mass in
+  if not (reaches n && not (reaches (n - 1))) then
+    Alcotest.failf "lambda 117 eps 1e-14: N = %d is not the normalised crossing"
+      n;
   (* At lambda = 10^6 the pmf goes subnormal at n = 1,037,665 and is 0
      from n = 1,038,646; the walk used to run on to N = 1,999,999, since a
      subnormal term times a ratio near 1 rounds back to itself. *)

@@ -484,6 +484,29 @@ let prop_achieved_epsilon =
               "achieved epsilon %.3g exceeds requested %.3g (seed %d)"
               achieved epsilon seed)
 
+(* The ad hoc Q3 at t = 6 has q = 117, where the Poisson terms sum to
+   1 - 9.7e-14: an epsilon of 1e-14 lies below that rounding floor.  The
+   truncation point normalises by the summed mass, so the series stops
+   at N = 209 instead of the pmf's underflow point (719), and the
+   achieved epsilon it reports honours the request. *)
+let test_epsilon_below_rounding_floor () =
+  let sat = Markov.Labeling.sat (Models.Adhoc.labeling ()) in
+  let phi = Array.map2 ( || ) (sat "call_idle") (sat "doze") in
+  let p =
+    Perf.Reduced.problem
+      (Perf.Reduced.reduce (Models.Adhoc.mrm ()) ~phi ~psi:(sat "call_initiated"))
+      ~init:(Linalg.Vec.unit 9 Models.Adhoc.initial_state)
+      ~time_bound:6.0 ~reward_bound:600.0
+  in
+  let telemetry = Telemetry.create () in
+  ignore (Perf.Sericola.solve ~epsilon:1e-14 ~telemetry p : float);
+  Alcotest.(check (option int)) "layers" (Some 210)
+    (Telemetry.counter telemetry "sericola.layers");
+  match Telemetry.gauge telemetry "sericola.achieved_epsilon" with
+  | Some achieved when achieved <= 1e-14 -> ()
+  | Some achieved -> Alcotest.failf "achieved epsilon %g above 1e-14" achieved
+  | None -> Alcotest.fail "no achieved epsilon recorded"
+
 (* Differential battery with knob-derived tolerances: each approximate
    engine must sit within the error its own convergence knob predicts of
    the a-priori-bounded reference.  Erlang-k errs like 1/sqrt(k); the
@@ -558,6 +581,183 @@ let prop_duality_vs_sericola =
           via_dual via_sericola seed
       else true)
 
+(* ---------------- the side choice --------------------------------- *)
+
+(* [Engine] solves an occupation-time problem on its dual when the model
+   is dualizable, every goal state is absorbing with reward 0, r > 0 and
+   q~ = r * max E(s)/rho(s) over non-absorbing states is below
+   q = t * max E(s).  Recomputed here from that statement, as the
+   oracle the engine's [sericola.dualised] counter is checked against. *)
+let expect_dual (p : Perf.Problem.t) =
+  let m = p.Perf.Problem.mrm in
+  let c = Markov.Mrm.ctmc m in
+  let states = List.init (Markov.Mrm.n_states m) Fun.id in
+  let transient = List.filter (fun s -> not (Markov.Ctmc.is_absorbing c s)) states in
+  p.Perf.Problem.reward_bound > 0.0
+  && Markov.Duality.is_dualizable m
+  && List.for_all
+       (fun s ->
+         (not p.Perf.Problem.goal.(s))
+         || (Markov.Ctmc.is_absorbing c s && Markov.Mrm.reward m s = 0.0))
+       states
+  && p.Perf.Problem.reward_bound
+     *. List.fold_left
+          (fun acc s ->
+            Float.max acc (Markov.Ctmc.exit_rate c s /. Markov.Mrm.reward m s))
+          0.0 transient
+     < p.Perf.Problem.time_bound *. Markov.Ctmc.max_exit_rate c
+
+let dualised tel =
+  Option.value ~default:0 (Telemetry.counter tel "sericola.dualised")
+
+(* A random problem whose non-absorbing states all earn a positive
+   reward, so its model is dualizable, with the goal in one of three
+   shapes: the Theorem 1 form (absorbing, reward 0), a goal the chain
+   may leave, or an absorbing goal that earns reward.  Only the first
+   has its dual's answer. *)
+type goal_shape = Theorem1 | Leavable | Earning
+
+let side_problem ~seed shape =
+  let m = Models.Random_mrm.generate ~seed Models.Random_mrm.default in
+  let n = Markov.Mrm.n_states m in
+  let rng = Sim.Rng.create ~seed:(Int64.add seed 0x5DEECE66DL) in
+  let goal = Array.init n (fun _ -> Sim.Rng.float rng < 0.3) in
+  if not (Array.exists Fun.id goal) then
+    goal.(Sim.Rng.int rng ~bound:n) <- true;
+  let chain =
+    match shape with
+    | Leavable -> Markov.Mrm.ctmc m
+    | Theorem1 | Earning ->
+      Markov.Transform.make_absorbing (Markov.Mrm.ctmc m)
+        ~absorb:(Array.copy goal)
+  in
+  let rewards =
+    Array.init n (fun s ->
+        if shape = Theorem1 && goal.(s) then 0.0
+        else float_of_int (1 + Sim.Rng.int rng ~bound:4))
+  in
+  let m = Markov.Mrm.make chain ~rewards in
+  let t = 0.5 +. (Sim.Rng.float rng *. 3.5) in
+  let r = (0.1 +. (Sim.Rng.float rng *. 0.8)) *. Markov.Mrm.max_reward m *. t in
+  let init =
+    match List.filter (fun s -> not goal.(s)) (List.init n Fun.id) with
+    | [] -> 0
+    | free -> List.nth free (Sim.Rng.int rng ~bound:(List.length free))
+  in
+  Perf.Problem.of_initial_state m ~init ~goal ~time_bound:t ~reward_bound:r
+
+(* Both engine entry points against the primal kernel: within 2 epsilon
+   (each side's truncation error is at most epsilon) when the engine
+   took the dual, bit for bit when it kept the problem's own side — and
+   it takes the dual exactly when the rule says so. *)
+let prop_side_choice =
+  QCheck2.Test.make ~count:40
+    ~name:"side choice: engine agrees with the primal kernel"
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 3))
+    (fun (seed, pick) ->
+      let shape =
+        match pick with 0 | 1 -> Theorem1 | 2 -> Leavable | _ -> Earning
+      in
+      let epsilon = 1e-9 in
+      let p = side_problem ~seed:(Int64.of_int seed) shape in
+      let rows = Array.init (Markov.Mrm.n_states p.Perf.Problem.mrm) Fun.id in
+      let spec = Perf.Engine.Occupation_time { epsilon } in
+      let tel = Telemetry.create () in
+      let one = Perf.Engine.solve ~telemetry:tel spec p in
+      let all = Perf.Engine.solve_rows ~telemetry:tel spec p ~rows in
+      let primal_one = Perf.Sericola.solve ~epsilon p in
+      let primal_all = Perf.Sericola.solve_rows ~epsilon p ~rows in
+      let dual = expect_dual p in
+      let agree a b =
+        if dual then Float.abs (a -. b) <= 2.0 *. epsilon
+        else Int64.bits_of_float a = Int64.bits_of_float b
+      in
+      if shape <> Theorem1 && dual then
+        QCheck2.Test.fail_reportf "seed %d: the rule accepted a non-Theorem 1 goal"
+          seed
+      else if dualised tel <> (if dual then 2 else 0) then
+        QCheck2.Test.fail_reportf
+          "seed %d: %d dual solves recorded, the rule says %b" seed
+          (dualised tel) dual
+      else if not (agree one primal_one) then
+        QCheck2.Test.fail_reportf "seed %d: solve %h, primal %h (dual %b)" seed
+          one primal_one dual
+      else
+        Array.for_all2 agree all primal_all
+        || QCheck2.Test.fail_reportf
+             "seed %d: solve_rows [%s], primal [%s] (dual %b)" seed
+             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") all)))
+             (String.concat "; "
+                (Array.to_list (Array.map (Printf.sprintf "%h") primal_all)))
+             dual)
+
+(* The rule's decisions on the check-cold slots and its edges, read from
+   the [sericola.dualised] counter of a Checker run. *)
+let test_side_choice_decisions () =
+  let runs mrm labeling text =
+    let tel = Telemetry.create () in
+    let ctx = Checker.make ~telemetry:tel mrm labeling in
+    ignore (Checker.eval_query ctx (Logic.Parser.query text));
+    dualised tel
+  in
+  let adhoc = Models.Adhoc.mrm () and labels = Models.Adhoc.labeling () in
+  let check name want got = Alcotest.(check bool) name want (got > 0) in
+  (* q = 468 against q~ = 117, and q = 174 against q~ = 34.08. *)
+  check "ad hoc Q3 goes dual" true
+    (runs adhoc labels
+       "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )");
+  check "ad hoc incoming goes dual" true
+    (runs adhoc labels "P=? ( !call_active U[t<=0.4][r<=16] call_incoming )");
+  (* q = 154.5 against q~ = 175.7, and q = 28.6 against q~ = 66. *)
+  let c = Models.Cluster.default in
+  check "cluster stays primal" false
+    (runs (Models.Cluster.mrm c) (Models.Cluster.labeling c)
+       "P=? ( available U[t<=600][r<=11000] down )");
+  let mp =
+    { Models.Multiprocessor.n_processors = 9; failure_rate = 0.2;
+      repair_rate = 1.0; capacity = 8; throughput_per_processor = 1.0 }
+  in
+  check "9-processor tracked stays primal" false
+    (runs
+       (Models.Multiprocessor.tracked_mrm mp)
+       (Models.Multiprocessor.tracked_labeling mp)
+       "P=? ( up U[t<=11][r<=55] down )");
+  (* Q3 at t <= 6: q = 6 * 19.5 = 117 = 600 * 0.195 = q~. *)
+  check "a tie stays primal" false
+    (runs adhoc labels
+       "P=? ( (call_idle | doze) U[t<=6][r<=600] call_initiated )");
+  check "r = 0 stays primal" false
+    (runs adhoc labels "P=? ( (call_idle | doze) U[t<=24][r<=0] call_initiated )");
+  (* A transient state without reward has no dual (q = 150, and the
+     dual would divide its rates by 0). *)
+  let tel = Telemetry.create () in
+  let m =
+    Markov.Mrm.of_transitions ~n:3 [ (0, 1, 2.0); (1, 2, 3.0) ]
+      ~rewards:[| 0.0; 1.0; 0.0 |]
+  in
+  ignore
+    (Perf.Engine.solve ~telemetry:tel Perf.Engine.default
+       (Perf.Problem.of_initial_state m ~init:0 ~goal:[| false; false; true |]
+          ~time_bound:50.0 ~reward_bound:0.5));
+  check "zero reward on a transient state stays primal" false (dualised tel);
+  (* Sericola rejects impulse models; the side is chosen before that, and
+     an impulse model must not reach the duality transform. *)
+  let tel = Telemetry.create () in
+  let m = Markov.Mrm.of_transitions ~n:2 [ (0, 1, 2.0) ] ~rewards:[| 1.0; 0.0 |] in
+  let m =
+    Markov.Mrm.with_impulses m (Linalg.Csr.of_coo ~rows:2 ~cols:2 [ (0, 1, 1.0) ])
+  in
+  let p =
+    Perf.Problem.of_initial_state m ~init:0 ~goal:[| false; true |]
+      ~time_bound:4.0 ~reward_bound:0.5
+  in
+  (match Perf.Engine.solve ~telemetry:tel Perf.Engine.default p with
+   | _ -> Alcotest.fail "an impulse model reached a Sericola solve"
+   | exception Invalid_argument message ->
+     Alcotest.(check bool) "impulse model: Sericola's refusal" true
+       (String.starts_with ~prefix:"Sericola.solve" message));
+  check "impulse model stays primal" false (dualised tel)
+
 (* Allocation canary for the Bigarray layout overhaul: the transient
    recursions reuse caller-owned scratch, so a full case-study solve
    stays within a fixed minor-heap budget.  The boxed-era implementation
@@ -620,10 +820,15 @@ let suite =
       Alcotest.test_case "solve_many distribution curve" `Quick
         test_solve_many;
       Alcotest.test_case "allocation budgets" `Quick test_allocation_budget;
+      Alcotest.test_case "side choice decisions" `Quick
+        test_side_choice_decisions;
+      Alcotest.test_case "epsilon below the Poisson rounding floor" `Quick
+        test_epsilon_below_rounding_floor;
       q prop_engines_agree;
       q prop_solve_rows_bit_identical;
       q prop_achieved_epsilon;
       q prop_knob_derived_tolerances;
       q prop_sericola_vs_simulation;
       q prop_sericola_monotone;
-      q prop_duality_vs_sericola ] )
+      q prop_duality_vs_sericola;
+      q prop_side_choice ] )

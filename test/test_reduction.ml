@@ -358,7 +358,10 @@ let test_opt_out_is_identity () =
    four P3 query shapes of the check-cold benchmark at fixed bounds, and
    two random models whose targets fall into several groups.  Large
    vectors are pinned by their distinct values and the MD5 of all
-   per-state strings, joined by commas. *)
+   per-state strings, joined by commas.  The P3 pins run the primal
+   kernel directly, so they keep pinning the occupation-time recursion
+   whichever side [Engine] would choose; [test_golden_dual] pins the
+   Checker's own answers where it goes dual. *)
 
 let multiprocessor_9 =
   { Models.Multiprocessor.n_processors = 9; failure_rate = 0.2;
@@ -368,12 +371,37 @@ let random_9 seed =
   Models.Random_mrm.generate_labeled ~seed
     { Models.Random_mrm.default with n_states = 9 }
 
+let hex_list v = List.init (Linalg.Vec.length v) (fun s -> Printf.sprintf "%h" v.{s})
+
 let golden_answer mrm labeling text =
   let ctx = Checker.make mrm labeling in
   match Checker.eval_query ctx (Logic.Parser.query text) with
-  | Checker.Numeric v ->
-    List.init (Linalg.Vec.length v) (fun s -> Printf.sprintf "%h" v.{s})
+  | Checker.Numeric v -> hex_list v
   | _ -> Alcotest.fail "expected a numeric answer"
+
+(* [Engine.solve_rows] at the Checker's default epsilon with the problem
+   kept on its own side: the transient shortcut when the reward bound
+   cannot bite, else one Sericola recursion. *)
+let primal_rows (p : Perf.Problem.t) ~rows =
+  if Perf.Problem.reward_trivially_satisfied p then
+    Array.map
+      (fun b ->
+        let p = Perf.Problem.from_state p b in
+        Markov.Transient.reachability
+          (Markov.Mrm.ctmc p.Perf.Problem.mrm)
+          ~init:p.Perf.Problem.init ~goal:p.Perf.Problem.goal
+          ~t:p.Perf.Problem.time_bound)
+      rows
+  else Perf.Sericola.solve_rows ~epsilon:1e-9 p ~rows
+
+(* The Checker's P3 path (Theorem 1, the reduction pipeline, one solve
+   per reachable-set group) over the primal kernel. *)
+let golden_primal mrm labeling ~phi ~psi ~time_bound ~reward_bound =
+  let ctx = Checker.make mrm labeling in
+  let sat f = Checker.sat ctx (Logic.Parser.state_formula f) in
+  hex_list
+    (Perf.Reduction.until_rows_via ~config:Perf.Reduction.default primal_rows
+       mrm ~phi:(sat phi) ~psi:(sat psi) ~time_bound ~reward_bound)
 
 let check_golden name answer expected =
   Alcotest.(check (list string)) name expected answer
@@ -405,45 +433,53 @@ let reachable_set_groups mrm labeling ~phi ~psi =
     r.Perf.Reduction.reduced.Perf.Reduced.state_map;
   Hashtbl.length seen
 
+let adhoc_q3_primal =
+  [ "0x1.fcecb5d2c8b9ep-2"; "0x1.fce21c378e0fep-2"; "0x1p+0"; "0x1p+0";
+    "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1.fcc757770b8a4p-2" ]
+
+let adhoc_incoming_primal =
+  [ "0x1.19d8c8e33da76p-4"; "0x1.06e116fd5323bp-4"; "0x1.3b04c0406ee64p-7";
+    "0x1.21134c7a60eebp-7"; "0x1p+0"; "0x1p+0"; "0x0p+0"; "0x0p+0";
+    "0x1.59db7abf71b48p-5" ]
+
 let test_golden_answers () =
   let adhoc = Models.Adhoc.mrm () and adhoc_labels = Models.Adhoc.labeling () in
   check_golden "adhoc Q3"
-    (golden_answer adhoc adhoc_labels
-       "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )")
-    [ "0x1.fcecb5d2c8b9ep-2"; "0x1.fce21c378e0fep-2"; "0x1p+0"; "0x1p+0";
-      "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1.fcc757770b8a4p-2" ];
+    (golden_primal adhoc adhoc_labels ~phi:"call_idle | doze"
+       ~psi:"call_initiated" ~time_bound:24.0 ~reward_bound:600.0)
+    adhoc_q3_primal;
   check_golden "adhoc incoming"
-    (golden_answer adhoc adhoc_labels
-       "P=? ( !call_active U[t<=0.4][r<=16] call_incoming )")
-    [ "0x1.19d8c8e33da76p-4"; "0x1.06e116fd5323bp-4"; "0x1.3b04c0406ee64p-7";
-      "0x1.21134c7a60eebp-7"; "0x1p+0"; "0x1p+0"; "0x0p+0"; "0x0p+0";
-      "0x1.59db7abf71b48p-5" ];
+    (golden_primal adhoc adhoc_labels ~phi:"!call_active"
+       ~psi:"call_incoming" ~time_bound:0.4 ~reward_bound:16.0)
+    adhoc_incoming_primal;
   let c = Models.Cluster.default in
   check_golden "cluster"
-    (golden_answer (Models.Cluster.mrm c) (Models.Cluster.labeling c)
-       "P=? ( available U[t<=600][r<=11000] down )")
+    (golden_primal (Models.Cluster.mrm c) (Models.Cluster.labeling c)
+       ~phi:"available" ~psi:"down" ~time_bound:600.0 ~reward_bound:11000.0)
     (List.init 11 (fun _ -> "0x1p+0")
     @ [ "0x1.b936ebfc9381bp-3"; "0x1p+0"; "0x1.97ee3422570f5p-3"; "0x1p+0";
         "0x1.965ad30cc5ebfp-3"; "0x1p+0"; "0x1.95edbcf9a1d14p-3" ]);
   check_golden_digest "9-processor tracked"
-    (golden_answer
+    (golden_primal
        (Models.Multiprocessor.tracked_mrm multiprocessor_9)
        (Models.Multiprocessor.tracked_labeling multiprocessor_9)
-       "P=? ( up U[t<=11][r<=55] down )")
+       ~phi:"up" ~psi:"down" ~time_bound:11.0 ~reward_bound:55.0)
     ~distinct:
       [ "0x1.02424e2271002p-5"; "0x1.0cb7d4e7ea68dp-3"; "0x1.166a51c869abap-2";
         "0x1.20a7a4d9cc646p-6"; "0x1.49df6bfc08eedp-4"; "0x1.4b75d24759f93p-6";
         "0x1.509c7a9c8ac18p-5"; "0x1.9735b0a601822p-6"; "0x1.c81ab68ea52aap-5";
         "0x1p+0" ]
     ~digest:"987915f2d157815a557d7f5f419f2e40";
-  let random_query = "P=? ( (a | b) U[t<=2][r<=3] c )" in
   List.iter
     (fun (seed, groups, expected) ->
       let m, labeling = random_9 seed in
       let name = Printf.sprintf "random seed %Ld" seed in
       Alcotest.(check int) (name ^ " groups") groups
         (reachable_set_groups m labeling ~phi:"a | b" ~psi:"c");
-      check_golden name (golden_answer m labeling random_query) expected)
+      check_golden name
+        (golden_primal m labeling ~phi:"a | b" ~psi:"c" ~time_bound:2.0
+           ~reward_bound:3.0)
+        expected)
     [ ( 10L, 3,
         [ "0x0p+0"; "0x1p+0"; "0x0p+0"; "0x0p+0"; "0x1.4e23c852d537ep-1";
           "0x1.ffc1cd8bb8646p-1"; "0x0p+0"; "0x0p+0"; "0x1p+0" ] );
@@ -451,6 +487,36 @@ let test_golden_answers () =
         [ "0x1p+0"; "0x1.2e48823da65f7p-2"; "0x1p+0"; "0x0p+0"; "0x0p+0";
           "0x0p+0"; "0x1.d14dd44483d4cp-2"; "0x0p+0"; "0x1.3d18913c08585p-4" ]
       ) ]
+
+(* The Checker's own answers where the engine solves the dual: the ad
+   hoc Q3 (q = 468 against q~ = 117) and ad hoc incoming (q = 174
+   against 34.08), recorded when the side choice landed.  Each lies
+   within 2 epsilon of the primal pin above, epsilon being the Checker's
+   default 1e-9. *)
+let test_golden_dual () =
+  let adhoc = Models.Adhoc.mrm () and adhoc_labels = Models.Adhoc.labeling () in
+  List.iter
+    (fun (name, query, expected, primal) ->
+      let answer = golden_answer adhoc adhoc_labels query in
+      check_golden name answer expected;
+      List.iter2
+        (fun dual primal ->
+          let d = float_of_string dual and p = float_of_string primal in
+          if Float.abs (d -. p) > 2e-9 then
+            Alcotest.failf "%s: dual %h is %g away from primal %h" name d
+              (Float.abs (d -. p)) p)
+        answer primal)
+    [ ( "adhoc Q3 (dual)",
+        "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )",
+        [ "0x1.fcecb5d2db9c1p-2"; "0x1.fce21c37a0ea2p-2"; "0x1p+0"; "0x1p+0";
+          "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1.fcc757771e507p-2" ],
+        adhoc_q3_primal );
+      ( "adhoc incoming (dual)",
+        "P=? ( !call_active U[t<=0.4][r<=16] call_incoming )",
+        [ "0x1.19d8c8df0043ap-4"; "0x1.06e116f90884fp-4";
+          "0x1.3b04c03b9b08ap-7"; "0x1.21134c7580d81p-7"; "0x1p+0"; "0x1p+0";
+          "0x0p+0"; "0x0p+0"; "0x1.59db7ab7ad8f6p-5" ],
+        adhoc_incoming_primal ) ]
 
 (* The %h of the paths the golden per-state answers do not reach,
    recorded before the Sericola layer kernel, the digraph and the
@@ -527,8 +593,8 @@ let test_golden_paths () =
   in
   let tel = Telemetry.create () in
   let v =
-    Perf.Engine.solve ~telemetry:tel ~reduction:Perf.Reduction.default
-      (Perf.Engine.Occupation_time { epsilon = 1e-12 }) p
+    Perf.Sericola.solve ~epsilon:1e-12
+      (Perf.Reduction.apply ~telemetry:tel Perf.Reduction.default p)
   in
   Alcotest.(check string) "7-processor pipeline" "0x1.bfed9c29ffeb5p-3" (hex v);
   Alcotest.(check (list int)) "7-processor stages"
@@ -554,6 +620,7 @@ let suite =
         test_tracked_multiprocessor_collapses;
       Alcotest.test_case "opt-out is identity" `Quick test_opt_out_is_identity;
       Alcotest.test_case "golden per-state answers" `Quick test_golden_answers;
+      Alcotest.test_case "golden dual answers" `Quick test_golden_dual;
       Alcotest.test_case "golden kernel, graph and pipeline paths" `Quick
         test_golden_paths
     ] )

@@ -883,6 +883,79 @@ let tcp_adversarial () =
     (expect_string [ "kind" ] (Io.Json.of_string ack));
   Unix.close healthy
 
+(* A shutdown closes the listeners as soon as it is answered, not when
+   the connection that sent it ends: that client keeps its socket open,
+   and new connections over either transport must be refused within the
+   accept loops' poll.  Run once with the shutdown sent over each. *)
+let shutdown_stops_listeners () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "perfcheck-shutdown-%d.sock" (Unix.getpid ()))
+  in
+  let connect addr =
+    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+    match Unix.connect fd addr with
+    | () -> Some fd
+    | exception Unix.Unix_error _ ->
+      Unix.close fd;
+      None
+  in
+  (* Connects until one is refused; a connect that still succeeds is
+     closed at once, so its session sees EOF. *)
+  let refused_within seconds addr =
+    let deadline = Unix.gettimeofday () +. seconds in
+    let rec poll () =
+      match connect addr with
+      | None -> true
+      | Some fd ->
+        Unix.close fd;
+        Unix.gettimeofday () < deadline && (Thread.delay 0.02; poll ())
+    in
+    poll ()
+  in
+  List.iter
+    (fun via ->
+      let service = Service.create (Service.default_config ()) in
+      let unix_l =
+        match Service.unix_listener ~path with
+        | Ok l -> l
+        | Error m -> Alcotest.fail m
+      in
+      let tcp_l, port =
+        match Service.tcp_listener ~host:"127.0.0.1" ~port:0 with
+        | Ok lp -> lp
+        | Error m -> Alcotest.fail m
+      in
+      let addrs =
+        [ ("unix", Unix.ADDR_UNIX path);
+          ("tcp", Unix.ADDR_INET (Unix.inet_addr_loopback, port)) ]
+      in
+      let server =
+        Thread.create
+          (fun () -> Service.serve_listeners service [ unix_l; tcp_l ])
+          ()
+      in
+      let holder =
+        match connect (List.assoc via addrs) with
+        | Some fd -> fd
+        | None -> Alcotest.failf "cannot connect over %s" via
+      in
+      send holder "{\"kind\": \"shutdown\"}\n";
+      Alcotest.(check string) "shutdown acknowledged" "shutdown"
+        (expect_string [ "kind" ] (Io.Json.of_string (recv_line holder)));
+      List.iter
+        (fun (name, addr) ->
+          if not (refused_within 5.0 addr) then
+            Alcotest.failf
+              "a %s connect still succeeds 5 s after a shutdown sent over %s"
+              name via)
+        addrs;
+      Unix.close holder;
+      Thread.join server;
+      Service.stop service)
+    [ "unix"; "tcp" ]
+
 (* The model->shard mapping is explicit FNV-1a, never the
    process-seeded [Hashtbl.hash]: the hash values and the resulting
    shard indices are pinned as literals, so any change to the function
@@ -959,4 +1032,6 @@ let suite =
       Alcotest.test_case "service: stress session at executors 1/2/4" `Quick
         stress_session;
       Alcotest.test_case "service: adversarial TCP transport" `Quick
-        tcp_adversarial ] )
+        tcp_adversarial;
+      Alcotest.test_case "service: shutdown stops the listeners" `Quick
+        shutdown_stops_listeners ] )
