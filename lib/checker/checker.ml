@@ -1,6 +1,7 @@
 (* A robust context carries the interval model next to the precise
    fields; [mrm] is then the point model (zero width) or the interval
-   midpoints, used only for state counts and display — the precise
+   midpoints.  Zero-width models run the precise procedures on it;
+   otherwise it is used only for state counts and display — the precise
    entry points are guarded. *)
 type t = {
   mrm : Markov.Mrm.t;
@@ -37,7 +38,6 @@ let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     reduction; cancel }
 
 let mrm ctx = ctx.mrm
-let labeling ctx = ctx.labeling
 let robust_model ctx = ctx.imrm
 let is_robust ctx = ctx.imrm <> None
 let with_pool ctx pool = { ctx with pool }
@@ -52,28 +52,89 @@ let require_precise ctx what =
         ^ " on a robust (interval-valued) context: interval models answer \
            through eval_query's three-valued and interval verdicts"))
 
+(* Operators with no envelope procedure are refused on interval models. *)
+let refuse_interval ctx message =
+  if ctx.imrm <> None then raise (Unsupported message)
+
+(* ------------------------------------------------------------------ *)
+(* Sat-sets and path values, over both context kinds.  A Sat-set is a
+   must/may pair: [must] holds the states that satisfy the formula
+   under every model of the context, [may] those that satisfy it under
+   some model.  A path value is a per-state envelope [lo, hi].  On a
+   precise context — and wherever no interval width reaches a
+   subformula — both halves are one physical array, so a precise check
+   computes one mask or vector per subformula.                         *)
+
+type tri = Holds | Fails | Unknown
+
+type sat_set = { must : bool array; may : bool array }
+
+let point_set a = { must = a; may = a }
+let is_point_set s = s.must == s.may
+let point_value v = { Robust.Envelope.lo = v; hi = v }
+
+(* Negation swaps the roles: certainly not Phi is not possibly Phi. *)
+let swap s = { must = s.may; may = s.must }
+
+let lift1 op s =
+  if is_point_set s then point_set (Array.map op s.must)
+  else { must = Array.map op s.must; may = Array.map op s.may }
+
+(* Kleene's connectives are pointwise on the must and the may halves. *)
+let lift2 op f g =
+  let apply x y = Array.init (Array.length x) (fun s -> op x.(s) y.(s)) in
+  if is_point_set f && is_point_set g then point_set (apply f.must g.must)
+  else { must = apply f.must g.must; may = apply f.may g.may }
+
+let tri_of_bool b = if b then Holds else Fails
+let tri_to_string = function
+  | Holds -> "holds"
+  | Fails -> "fails"
+  | Unknown -> "unknown"
+
+let tri_array s =
+  Array.init (Array.length s.must) (fun i ->
+      if s.must.(i) then Holds else if s.may.(i) then Unknown else Fails)
+
+(* Does every value of [lo, hi] satisfy [cmp p]?  Does none? *)
+let tri_of_bounds cmp p ~lo ~hi =
+  let worst, best =
+    match cmp with
+    | Logic.Ast.Ge | Logic.Ast.Gt -> (lo, hi)
+    | Logic.Ast.Le | Logic.Ast.Lt -> (hi, lo)
+  in
+  if Logic.Ast.compare_holds cmp p worst then Holds
+  else if not (Logic.Ast.compare_holds cmp p best) then Fails
+  else Unknown
+
+(* The Sat-set of a [cmp p] threshold: [Unknown] exactly where the
+   value straddles the bound, which a zero-width value never does. *)
+let threshold cmp p (v : Robust.Envelope.result) =
+  let verdict s = tri_of_bounds cmp p ~lo:v.lo.{s} ~hi:v.hi.{s} in
+  let n = Linalg.Vec.length v.lo in
+  if v.lo == v.hi then point_set (Array.init n (fun s -> verdict s = Holds))
+  else
+    { must = Array.init n (fun s -> verdict s = Holds);
+      may = Array.init n (fun s -> verdict s <> Fails) }
+
 (* ------------------------------------------------------------------ *)
 (* The cross-query memo.  Subformulas are hash-consed: structurally
    equal (sub)formulas are interned to one integer id, and the Sat-set
-   and path-probability tables are keyed by that id, so a batch of
-   queries sharing subformulas computes each characteristic vector and
-   each path-probability vector once.  Everything a memo stores is a
-   deterministic function of its key on a fixed context, which is what
-   keeps memoised answers bit-identical to cold ones.  One mutex guards
-   all tables: batched queries may run on several pool domains at once,
-   and a concurrent miss at worst duplicates a deterministic compute. *)
-
-type tri = Holds | Fails | Unknown
+   and path-value tables are keyed by that id, so a batch of queries
+   sharing subformulas computes each Sat-set and each path value once.
+   Everything a memo stores is a deterministic function of its key on a
+   fixed context, which is what keeps memoised answers bit-identical to
+   cold ones.  One mutex guards all tables: batched queries may run on
+   several pool domains at once, and a concurrent miss at worst
+   duplicates a deterministic compute. *)
 
 type memo = {
   mlock : Mutex.t;
   state_ids : (Logic.Ast.state_formula, int) Hashtbl.t;
   path_ids : (Logic.Ast.path_formula, int) Hashtbl.t;
   mutable next_id : int;
-  sat_tbl : (int, bool array) Numerics.Memo.t;
-  path_tbl : (int, Linalg.Vec.t) Numerics.Memo.t;
-  tri_tbl : (int, tri array) Numerics.Memo.t;      (* robust Sat-sets *)
-  env_tbl : (int, Robust.Envelope.result) Numerics.Memo.t;  (* envelopes *)
+  sat_tbl : (int, sat_set) Numerics.Memo.t;
+  path_tbl : (int, Robust.Envelope.result) Numerics.Memo.t;
   perf : Perf.Batch.t;   (* reduced-model and solve caches (Theorem 1) *)
 }
 
@@ -84,8 +145,6 @@ let create_memo () =
     next_id = 0;
     sat_tbl = Numerics.Memo.create 64;
     path_tbl = Numerics.Memo.create 16;
-    tri_tbl = Numerics.Memo.create 64;
-    env_tbl = Numerics.Memo.create 16;
     perf = Perf.Batch.create () }
 
 (* Intern under the memo lock; ids are dense and never recycled. *)
@@ -108,13 +167,7 @@ let memo_counters memo =
   let own =
     Mutex.protect memo.mlock (fun () ->
         let c = Numerics.Memo.counters in
-        let own = [ ("path", c memo.path_tbl); ("sat", c memo.sat_tbl) ] in
-        (* The robust tables only show up once a robust context has used
-           the memo, so precise runs keep their historical listing. *)
-        let rsat = c memo.tri_tbl and envelope = c memo.env_tbl in
-        if rsat.Numerics.Memo.lookups + envelope.Numerics.Memo.lookups > 0 then
-          ("envelope", envelope) :: ("rsat", rsat) :: own
-        else own)
+        [ ("path", c memo.path_tbl); ("sat", c memo.sat_tbl) ])
   in
   List.sort compare (own @ Perf.Batch.counters memo.perf)
 
@@ -211,30 +264,22 @@ let until_reward_bounded ctx ~phi ~psi ~reward_bound =
   Linalg.Vec.init n (fun s -> dual_probs.{reduced.Perf.Reduced.state_map.(s)})
 
 (* ------------------------------------------------------------------ *)
-(* Time- and reward-bounded until (P3): Theorem 1 + a Section 4 engine. *)
+(* Time- and reward-bounded until (P3): Theorem 1 + a Section 4 engine,
+   through the memo's caches.  The reduction only depends on (Sat Phi,
+   Sat Psi) and the solve on (Sat Phi, Sat Psi, t, r): queries of a
+   batch that differ in the bound p — or, for the reduction, in t and r
+   too — share the cached artefacts.  Per-state answers come back
+   through the quotient-and-prune pipeline's map, so the Sat-set
+   translation is transparent to nested formulas.                     *)
 
 let until_both_bounded memo ctx ~phi ~psi ~time_bound ~reward_bound =
   let solve =
     Perf.Engine.solve_rows ~pool:ctx.pool ?telemetry:ctx.telemetry
       ?cancel:ctx.cancel ctx.engine
   in
-  match memo with
-  | None ->
-    (* The quotient-and-prune pipeline sits between the Theorem 1
-       transform and the engine.  Per-state answers come back through
-       the pipeline's map (Lumping.lower composed with the prune map),
-       so the Sat-set translation is transparent to nested formulas. *)
-    Perf.Reduction.until_rows_via ~config:ctx.reduction
-      ?telemetry:ctx.telemetry ~pool:ctx.pool solve ctx.mrm ~phi ~psi
-      ~time_bound ~reward_bound
-  | Some m ->
-    (* The reduction only depends on (Sat Phi, Sat Psi) and the solve on
-       (Sat Phi, Sat Psi, t, r): queries of a batch that differ in the
-       bound p — or, for the reduction, in t and r too — share the
-       cached artefacts. *)
-    Perf.Batch.until_probabilities m.perf ~config:ctx.reduction
-      ?telemetry:ctx.telemetry ~pool:ctx.pool solve ctx.mrm ~phi ~psi
-      ~time_bound ~reward_bound
+  Perf.Batch.until_probabilities memo.perf ~config:ctx.reduction
+    ?telemetry:ctx.telemetry ~pool:ctx.pool solve ctx.mrm ~phi ~psi
+    ~time_bound ~reward_bound
 
 (* ------------------------------------------------------------------ *)
 (* Next.  The jump out of [s] must happen at a sojourn time inside the
@@ -311,247 +356,158 @@ let steady_values ctx ~target =
   Linalg.Vec.map Numerics.Float_utils.clamp_prob result
 
 (* ------------------------------------------------------------------ *)
-(* The recursive Sat computation.  [memo] is threaded through the whole
-   traversal: with [Some m] every Sat-set and path-probability vector is
-   interned once per structurally distinct subformula; with [None] the
-   code path is exactly the historical uncached one.  Memoised arrays
-   are shared internally (nothing in the traversal mutates an operand)
-   and copied at the public boundary.                                  *)
+(* The until dispatch.                                                *)
 
-let rec sat_k memo ctx (phi : Logic.Ast.state_formula) : bool array =
-  match memo with
-  | None -> sat_compute memo ctx phi
-  | Some m ->
-    memoize m m.sat_tbl m.state_ids phi (fun () -> sat_compute memo ctx phi)
+let require_reward_from_zero reward =
+  if not (Numerics.Time_interval.is_downward_closed reward) then
+    raise
+      (Unsupported
+         "until with a reward interval not starting at 0: no computational \
+          procedure is known (the open problem of the paper's Section 6)")
 
-and sat_compute memo ctx (phi : Logic.Ast.state_formula) : bool array =
+(* The paper's procedures (P0–P3, plus the time window) on one pair of
+   masks, picked by the shape of the bounds. *)
+let until_point memo ctx ~time ~reward ~phi ~psi =
+  require_reward_from_zero reward;
+  let t_lo = Numerics.Time_interval.lower time in
+  if t_lo > 0.0 then begin
+    match Numerics.Time_interval.upper reward with
+    | Some _ ->
+      raise
+        (Unsupported
+           "until combining a time-interval lower bound with a reward \
+            bound: no computational procedure is known (the open problem \
+            of the paper's Section 6)")
+    | None ->
+      until_time_window ctx ~phi ~psi ~t_lo
+        ~t_hi:(Numerics.Time_interval.upper time)
+  end
+  else
+    match
+      Numerics.Time_interval.upper time, Numerics.Time_interval.upper reward
+    with
+    | None, None -> until_unbounded ctx ~phi ~psi
+    | Some t, None -> until_time_bounded ctx ~phi ~psi ~time_bound:t
+    | None, Some r -> until_reward_bounded ctx ~phi ~psi ~reward_bound:r
+    | Some t, Some r ->
+      until_both_bounded memo ctx ~phi ~psi ~time_bound:t ~reward_bound:r
+
+(* The until shapes an envelope bounds on an interval model: a reward
+   interval from 0 and a time interval [0, t].  Returns [t]. *)
+let interval_time_bound time reward =
+  require_reward_from_zero reward;
+  if Numerics.Time_interval.lower time > 0.0 then
+    raise
+      (Unsupported
+         "until with a time-interval lower bound over interval-valued \
+          models is not implemented");
+  match Numerics.Time_interval.upper time with
+  | Some t -> t
+  | None ->
+    raise
+      (Unsupported
+         "time-unbounded until over interval-valued models: the envelope \
+          solver is a transient (uniformisation) procedure; give the until \
+          a time bound")
+
+(* ------------------------------------------------------------------ *)
+(* The recursive Sat computation: one bottom-up traversal for both
+   context kinds, every Sat-set and path value interned once per
+   structurally distinct subformula in [memo].  Memoised arrays are
+   shared internally (nothing in the traversal mutates an operand) and
+   copied at the public boundary when the memo is the caller's.  Until
+   is monotone in both arguments, so an envelope computed from the must
+   sets below and the may sets above covers every resolution of the
+   unknown states.                                                     *)
+
+let rec sat_k memo ctx (phi : Logic.Ast.state_formula) : sat_set =
+  memoize memo memo.sat_tbl memo.state_ids phi (fun () ->
+      sat_compute memo ctx phi)
+
+and sat_compute memo ctx (phi : Logic.Ast.state_formula) : sat_set =
   let n = Markov.Mrm.n_states ctx.mrm in
   match phi with
-  | True -> Array.make n true
-  | False -> Array.make n false
-  | Ap a -> Markov.Labeling.sat ctx.labeling a
-  | Not f -> Array.map not (sat_k memo ctx f)
+  | True -> point_set (Array.make n true)
+  | False -> point_set (Array.make n false)
+  | Ap a -> point_set (Markov.Labeling.sat ctx.labeling a)
+  | Not f -> lift1 not (swap (sat_k memo ctx f))
   | And (f, g) ->
     let sf = sat_k memo ctx f and sg = sat_k memo ctx g in
-    Array.init n (fun s -> sf.(s) && sg.(s))
+    lift2 ( && ) sf sg
   | Or (f, g) ->
     let sf = sat_k memo ctx f and sg = sat_k memo ctx g in
-    Array.init n (fun s -> sf.(s) || sg.(s))
+    lift2 ( || ) sf sg
   | Implies (f, g) ->
     let sf = sat_k memo ctx f and sg = sat_k memo ctx g in
-    Array.init n (fun s -> (not sf.(s)) || sg.(s))
-  | Prob (cmp, p, path) ->
-    let probs = path_probabilities_k memo ctx path in
-    Array.init n (fun s -> Logic.Ast.compare_holds cmp p probs.{s})
+    lift2 (fun x y -> (not x) || y) (swap sf) sg
+  | Prob (cmp, p, path) -> threshold cmp p (path_k memo ctx path)
   | Steady (cmp, p, f) ->
-    let values = steady_values ctx ~target:(sat_k memo ctx f) in
-    Array.init n (fun s -> Logic.Ast.compare_holds cmp p values.{s})
+    refuse_interval ctx
+      "steady-state operators over interval-valued models: bounding BSCC \
+       stationary distributions over rate intervals is not implemented";
+    threshold cmp p
+      (point_value (steady_values ctx ~target:(sat_k memo ctx f).must))
   | Reward (cmp, c, q) ->
-    let values = reward_values_k memo ctx q in
-    Array.init n (fun s -> Logic.Ast.compare_holds cmp c values.{s})
+    refuse_interval ctx
+      "expected-reward operators over interval-valued models are not \
+       implemented";
+    threshold cmp c (point_value (reward_values memo ctx q))
 
-and reward_values_k memo ctx (q : Logic.Ast.reward_query) : Linalg.Vec.t =
+and reward_values memo ctx (q : Logic.Ast.reward_query) : Linalg.Vec.t =
   match q with
   | Logic.Ast.Cumulative t ->
     Markov.Expected_reward.cumulative_all ~epsilon:ctx.epsilon ctx.mrm ~t
   | Logic.Ast.Reach f ->
     Markov.Expected_reward.reachability ~tol:(ctx.epsilon /. 10.0) ctx.mrm
-      ~goal:(sat_k memo ctx f)
+      ~goal:(sat_k memo ctx f).must
   | Logic.Ast.Long_run ->
     Markov.Expected_reward.steady_rate_all ctx.mrm
 
-and path_probabilities_k memo ctx (path : Logic.Ast.path_formula)
-    : Linalg.Vec.t =
-  match memo with
-  | None -> path_compute memo ctx path
-  | Some m ->
-    memoize m m.path_tbl m.path_ids path (fun () -> path_compute memo ctx path)
+and path_k memo ctx (path : Logic.Ast.path_formula) : Robust.Envelope.result =
+  memoize memo memo.path_tbl memo.path_ids path (fun () ->
+      path_compute memo ctx path)
 
-and path_compute memo ctx (path : Logic.Ast.path_formula) : Linalg.Vec.t =
+and path_compute memo ctx (path : Logic.Ast.path_formula)
+    : Robust.Envelope.result =
   match path with
   | Next (time, reward, f) ->
-    next_probabilities ctx ~time ~reward ~target:(sat_k memo ctx f)
-  | Until (time, reward, f, g) -> begin
+    refuse_interval ctx
+      "next over interval-valued models: the jump probability and the \
+       sojourn factor share each rate, so the per-transition optimum is \
+       not separable; no envelope procedure is implemented";
+    point_value
+      (next_probabilities ctx ~time ~reward ~target:(sat_k memo ctx f).must)
+  | Until (time, reward, f, g) -> (
+      (* Interval models refuse what no envelope bounds before the
+         operands are computed; zero width needs no envelope. *)
+      let envelope =
+        match ctx.imrm with
+        | None -> None
+        | Some imrm ->
+          let time_bound = interval_time_bound time reward in
+          if Robust.Imrm.is_point imrm then None else Some (imrm, time_bound)
+      in
       let phi = sat_k memo ctx f and psi = sat_k memo ctx g in
-      if not (Numerics.Time_interval.is_downward_closed reward) then
-        raise
-          (Unsupported
-             "until with a reward interval not starting at 0: no \
-              computational procedure is known (the open problem of the \
-              paper's Section 6)");
-      let t_lo = Numerics.Time_interval.lower time in
-      if t_lo > 0.0 then begin
-        match Numerics.Time_interval.upper reward with
-        | Some _ ->
-          raise
-            (Unsupported
-               "until combining a time-interval lower bound with a reward \
-                bound: no computational procedure is known (the open \
-                problem of the paper's Section 6)")
-        | None ->
-          until_time_window ctx ~phi ~psi ~t_lo
-            ~t_hi:(Numerics.Time_interval.upper time)
-      end
-      else
-        match
-          Numerics.Time_interval.upper time, Numerics.Time_interval.upper reward
-        with
-        | None, None -> until_unbounded ctx ~phi ~psi
-        | Some t, None -> until_time_bounded ctx ~phi ~psi ~time_bound:t
-        | None, Some r -> until_reward_bounded ctx ~phi ~psi ~reward_bound:r
-        | Some t, Some r ->
-          until_both_bounded memo ctx ~phi ~psi ~time_bound:t ~reward_bound:r
-    end
-
-(* ------------------------------------------------------------------ *)
-(* The robust traversal: three-valued Sat-sets over interval models.
-   The boolean layer is Kleene logic; probabilistic thresholds compare
-   the bound against the path envelope and answer [Unknown] exactly
-   when the envelope straddles it.  Nested formulas propagate as
-   must/may set pairs: the lower envelope uses the must
-   (certainly-satisfying) sets, the upper the may (possibly-satisfying)
-   sets — until is monotone in both arguments, so the envelope covers
-   every resolution of the unknown states.                             *)
-
-let tri_not = function Holds -> Fails | Fails -> Holds | Unknown -> Unknown
-
-let tri_and a b =
-  match (a, b) with
-  | Fails, _ | _, Fails -> Fails
-  | Holds, Holds -> Holds
-  | _ -> Unknown
-
-let tri_or a b =
-  match (a, b) with
-  | Holds, _ | _, Holds -> Holds
-  | Fails, Fails -> Fails
-  | _ -> Unknown
-
-let tri_of_bool b = if b then Holds else Fails
-let tri_to_string = function
-  | Holds -> "holds"
-  | Fails -> "fails"
-  | Unknown -> "unknown"
-
-(* Does every value of [lo, hi] satisfy [cmp p]?  Does none? *)
-let tri_of_bounds cmp p ~lo ~hi =
-  let worst, best =
-    match cmp with
-    | Logic.Ast.Ge | Logic.Ast.Gt -> (lo, hi)
-    | Logic.Ast.Le | Logic.Ast.Lt -> (hi, lo)
-  in
-  if Logic.Ast.compare_holds cmp p worst then Holds
-  else if not (Logic.Ast.compare_holds cmp p best) then Fails
-  else Unknown
-
-let get_robust ctx what =
-  match ctx.imrm with
-  | Some imrm -> imrm
-  | None ->
-    raise
-      (Unsupported
-         (what ^ " needs a robust context (Checker.make_robust)"))
-
-let rec rsat_k memo ctx (phi : Logic.Ast.state_formula) : tri array =
-  match memo with
-  | None -> rsat_compute memo ctx phi
-  | Some m ->
-    memoize m m.tri_tbl m.state_ids phi (fun () -> rsat_compute memo ctx phi)
-
-and rsat_compute memo ctx (phi : Logic.Ast.state_formula) : tri array =
-  let n = Markov.Mrm.n_states ctx.mrm in
-  match phi with
-  | True -> Array.make n Holds
-  | False -> Array.make n Fails
-  | Ap a -> Array.map tri_of_bool (Markov.Labeling.sat ctx.labeling a)
-  | Not f -> Array.map tri_not (rsat_k memo ctx f)
-  | And (f, g) ->
-    let sf = rsat_k memo ctx f and sg = rsat_k memo ctx g in
-    Array.init n (fun s -> tri_and sf.(s) sg.(s))
-  | Or (f, g) ->
-    let sf = rsat_k memo ctx f and sg = rsat_k memo ctx g in
-    Array.init n (fun s -> tri_or sf.(s) sg.(s))
-  | Implies (f, g) ->
-    let sf = rsat_k memo ctx f and sg = rsat_k memo ctx g in
-    Array.init n (fun s -> tri_or (tri_not sf.(s)) sg.(s))
-  | Prob (cmp, p, path) ->
-    let env = renvelope_k memo ctx path in
-    Array.init n (fun s ->
-        tri_of_bounds cmp p ~lo:env.Robust.Envelope.lo.{s}
-          ~hi:env.Robust.Envelope.hi.{s})
-  | Steady _ ->
-    raise
-      (Unsupported
-         "steady-state operators over interval-valued models: bounding \
-          BSCC stationary distributions over rate intervals is not \
-          implemented")
-  | Reward _ ->
-    raise
-      (Unsupported
-         "expected-reward operators over interval-valued models are not \
-          implemented")
-
-and renvelope_k memo ctx (path : Logic.Ast.path_formula)
-    : Robust.Envelope.result =
-  match memo with
-  | None -> renvelope_compute memo ctx path
-  | Some m ->
-    memoize m m.env_tbl m.path_ids path (fun () ->
-        renvelope_compute memo ctx path)
-
-and renvelope_compute memo ctx (path : Logic.Ast.path_formula)
-    : Robust.Envelope.result =
-  let imrm = get_robust ctx "path envelopes" in
-  match path with
-  | Next _ ->
-    raise
-      (Unsupported
-         "next over interval-valued models: the jump probability and the \
-          sojourn factor share each rate, so the per-transition optimum \
-          is not separable; no envelope procedure is implemented")
-  | Until (time, reward, f, g) ->
-    if not (Numerics.Time_interval.is_downward_closed reward) then
-      raise
-        (Unsupported
-           "until with a reward interval not starting at 0: no \
-            computational procedure is known (the open problem of the \
-            paper's Section 6)");
-    if Numerics.Time_interval.lower time > 0.0 then
-      raise
-        (Unsupported
-           "until with a time-interval lower bound over interval-valued \
-            models is not implemented");
-    let time_bound =
-      match Numerics.Time_interval.upper time with
-      | Some t -> t
+      match envelope with
+      | Some (imrm, time_bound) ->
+        Telemetry.with_span ctx.telemetry "engine.robust-envelope" @@ fun () ->
+        Robust.Envelope.until ~pool:ctx.pool ?telemetry:ctx.telemetry
+          ?cancel:ctx.cancel ~epsilon:ctx.epsilon imrm ~phi_must:phi.must
+          ~phi_may:phi.may ~psi_must:psi.must ~psi_may:psi.may ~time_bound
+          ~reward_bound:(Numerics.Time_interval.upper reward)
       | None ->
-        raise
-          (Unsupported
-             "time-unbounded until over interval-valued models: the \
-              envelope solver is a transient (uniformisation) procedure; \
-              give the until a time bound")
-    in
-    let tf = rsat_k memo ctx f and tg = rsat_k memo ctx g in
-    let must t = Array.map (fun v -> v = Holds) t
-    and may t = Array.map (fun v -> v <> Fails) t in
-    Telemetry.with_span ctx.telemetry "engine.robust-envelope" @@ fun () ->
-    Robust.Envelope.until ~pool:ctx.pool ?telemetry:ctx.telemetry
-      ?cancel:ctx.cancel ~engine:ctx.engine ~reduction:ctx.reduction
-      ~epsilon:ctx.epsilon imrm ~phi_must:(must tf) ~phi_may:(may tf)
-      ~psi_must:(must tg) ~psi_may:(may tg) ~time_bound
-      ~reward_bound:(Numerics.Time_interval.upper reward)
+        let solve phi psi = until_point memo ctx ~time ~reward ~phi ~psi in
+        let lo = solve phi.must psi.must in
+        if is_point_set phi && is_point_set psi then point_value lo
+        else { lo; hi = solve phi.may psi.may })
 
 let sat ctx phi =
   require_precise ctx "boolean Sat-sets";
-  sat_k None ctx phi
+  (sat_k (create_memo ()) ctx phi).must
 
 let path_probabilities ctx path =
   require_precise ctx "point path probabilities";
-  path_probabilities_k None ctx path
-
-let reward_values ctx q =
-  require_precise ctx "expected-reward values";
-  reward_values_k None ctx q
+  (path_k (create_memo ()) ctx path).lo
 
 let holds ctx phi s =
   let mask = sat ctx phi in
@@ -559,12 +515,7 @@ let holds ctx phi s =
     invalid_arg "Checker.holds: state out of range";
   mask.(s)
 
-let steady_probabilities ctx f =
-  require_precise ctx "steady-state probabilities";
-  steady_values ctx ~target:(sat ctx f)
-
-let robust_sat ctx phi = rsat_k None ctx phi
-let path_envelope ctx path = renvelope_k None ctx path
+let robust_sat ctx phi = tri_array (sat_k (create_memo ()) ctx phi)
 
 type verdict =
   | Boolean of bool array
@@ -574,30 +525,27 @@ type verdict =
 
 let eval_query ?memo ctx q =
   Telemetry.with_span ctx.telemetry "checker.eval_query" @@ fun () ->
+  let shared = Option.is_some memo in
+  let memo = match memo with Some m -> m | None -> create_memo () in
   let robust = ctx.imrm <> None in
   let verdict =
     match q with
     | Logic.Ast.Formula f ->
-      if robust then Three_valued (rsat_k memo ctx f)
-      else Boolean (sat_k memo ctx f)
+      let s = sat_k memo ctx f in
+      if robust then Three_valued (tri_array s) else Boolean s.must
     | Logic.Ast.Prob_query path ->
-      if robust then Interval (renvelope_k memo ctx path)
-      else Numeric (path_probabilities_k memo ctx path)
+      let v = path_k memo ctx path in
+      if robust then Interval v else Numeric v.lo
     | Logic.Ast.Steady_query f ->
-      if robust then
-        raise
-          (Unsupported
-             "steady-state queries over interval-valued models: bounding \
-              BSCC stationary distributions over rate intervals is not \
-              implemented")
-      else Numeric (steady_values ctx ~target:(sat_k memo ctx f))
+      refuse_interval ctx
+        "steady-state queries over interval-valued models: bounding BSCC \
+         stationary distributions over rate intervals is not implemented";
+      Numeric (steady_values ctx ~target:(sat_k memo ctx f).must)
     | Logic.Ast.Reward_query q ->
-      if robust then
-        raise
-          (Unsupported
-             "expected-reward queries over interval-valued models are not \
-              implemented")
-      else Numeric (reward_values_k memo ctx q)
+      refuse_interval ctx
+        "expected-reward queries over interval-valued models are not \
+         implemented";
+      Numeric (reward_values memo ctx q)
     | Logic.Ast.Frontier_query _ ->
       (* A frontier is a set of points, not a per-state vector; the sweep
          driver (Batch.Frontier) decomposes it into Prob_query probes. *)
@@ -607,14 +555,15 @@ let eval_query ?memo ctx q =
             (csrl-check --frontier, the batch file format, or the serving \
             daemon), not by a single checker solve")
   in
-  (* With a memo the verdict may be (or alias) a cached vector; hand the
+  (* A caller's memo may hold (or alias) the verdict's arrays; hand the
      caller a private copy so the tables cannot be corrupted. *)
-  match memo, verdict with
-  | None, v -> v
-  | Some _, Boolean mask -> Boolean (Array.copy mask)
-  | Some _, Numeric v -> Numeric (Linalg.Vec.copy v)
-  | Some _, Three_valued t -> Three_valued (Array.copy t)
-  | Some _, Interval e ->
-    Interval
-      { Robust.Envelope.lo = Linalg.Vec.copy e.Robust.Envelope.lo;
-        hi = Linalg.Vec.copy e.Robust.Envelope.hi }
+  if not shared then verdict
+  else
+    match verdict with
+    | Boolean mask -> Boolean (Array.copy mask)
+    | Numeric v -> Numeric (Linalg.Vec.copy v)
+    | Three_valued _ -> verdict
+    | Interval e ->
+      Interval
+        { Robust.Envelope.lo = Linalg.Vec.copy e.Robust.Envelope.lo;
+          hi = Linalg.Vec.copy e.Robust.Envelope.hi }

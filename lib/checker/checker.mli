@@ -72,23 +72,22 @@ val make_robust :
 (** A robust context over an interval-valued model: {!eval_query}
     answers {!Three_valued} Sat verdicts and {!Interval} path envelopes
     computed by {!Robust.Envelope.until} under an
-    [engine.robust-envelope] span.  [engine] and [reduction] configure
-    the precise code path that zero-width interval models delegate to —
-    a point context and a robust context over {!Robust.Imrm.point} of
-    the same model produce bit-identical probability values.  [epsilon]
-    is both the Fox–Glynn accuracy and the envelope safety margin; the
-    remaining parameters mean exactly what they mean on {!make}.
+    [engine.robust-envelope] span.  A zero-width model
+    ({!Robust.Imrm.is_point}) needs no envelope: the checker runs its
+    precise procedures on the point model, configured by [engine] and
+    [reduction], so a point context and a robust context over
+    {!Robust.Imrm.point} of the same model produce bit-identical
+    probability values.  [epsilon] is both the Fox–Glynn accuracy and
+    the envelope safety margin; the remaining parameters mean exactly
+    what they mean on {!make}.
 
-    The precise entry points ({!sat}, {!path_probabilities},
-    {!steady_probabilities}, {!reward_values}, {!holds}) raise
-    {!Unsupported} on a robust context — they would silently answer on
-    the interval midpoints otherwise. *)
+    The precise entry points ({!sat}, {!path_probabilities}, {!holds})
+    raise {!Unsupported} on a robust context — they would silently
+    answer on the interval midpoints otherwise. *)
 
 val mrm : t -> Markov.Mrm.t
 (** On a robust context this is the point model (zero width) or the
     interval midpoints — state counts and display only. *)
-
-val labeling : t -> Markov.Labeling.t
 
 val robust_model : t -> Robust.Imrm.t option
 val is_robust : t -> bool
@@ -114,9 +113,9 @@ val with_cancel : t -> Numerics.Cancel.t option -> t
 (* Cross-query memoisation.                                            *)
 
 type memo
-(** A cross-query cache for one fixed context: Sat-sets and
-    path-probability vectors keyed by hash-consed subformula
-    (structurally equal subformulas are interned to one id), plus the
+(** A cross-query cache for one fixed context: Sat-sets and path
+    values keyed by hash-consed subformula (structurally equal
+    subformulas are interned to one id), plus the
     {!Perf.Batch} caches for the Theorem 1 pipeline (the reduced model
     keyed by [(Sat Phi, Sat Psi)], the solved until-vector additionally
     by [(t, r)]).  Everything stored is a deterministic function of its
@@ -131,9 +130,9 @@ val create_memo : unit -> memo
 
 val memo_counters : memo -> (string * Numerics.Memo.counters) list
 (** Lookup/hit/miss statistics per cache, sorted by name: ["path"],
-    ["reduced"], ["reduction"], ["sat"] and ["until"], plus ["rsat"]
-    and ["envelope"] once a robust context has used the memo (precise
-    runs keep the historical listing).  In every entry
+    ["reduced"], ["reduction"], ["sat"] and ["until"], on both context
+    kinds (a robust context's three-valued Sat-sets count under
+    ["sat"], its envelopes under ["path"]).  In every entry
     [hits + misses = lookups]. *)
 
 val sat : t -> Logic.Ast.state_formula -> bool array
@@ -147,16 +146,6 @@ val holds : t -> Logic.Ast.state_formula -> int -> bool
 val path_probabilities : t -> Logic.Ast.path_formula -> Linalg.Vec.t
 (** Entry [s] is [Prob (s, phi)] — the measure of paths from [s] satisfying
     the path formula (the quantitative [P=?] query). *)
-
-val steady_probabilities : t -> Logic.Ast.state_formula -> Linalg.Vec.t
-(** Entry [s] is the long-run probability of sitting in [Sat Phi] when
-    starting from [s] (the quantitative [S=?] query). *)
-
-val reward_values : t -> Logic.Ast.reward_query -> Linalg.Vec.t
-(** Expected-reward values per state (the quantitative [R=?] query): the
-    expected accumulated reward by a deadline, the expected reward to
-    reach a set ([infinity] where not almost sure), or the long-run
-    reward rate. *)
 
 (* ------------------------------------------------------------------ *)
 (* Robust (interval-valued) verdicts.                                  *)
@@ -178,14 +167,10 @@ val tri_of_bounds : Logic.Ast.comparison -> float -> lo:float -> hi:float -> tri
     answers [Unknown]. *)
 
 val robust_sat : t -> Logic.Ast.state_formula -> tri array
-(** The three-valued Sat vector (robust contexts only; raises
-    {!Unsupported} on precise contexts and for operators with no
-    envelope procedure — steady-state, expected-reward, next,
-    time-unbounded until). *)
-
-val path_envelope : t -> Logic.Ast.path_formula -> Robust.Envelope.result
-(** Per-state lower/upper probability bounds of a path formula (robust
-    contexts only). *)
+(** The three-valued Sat vector.  On a robust context it raises
+    {!Unsupported} for operators with no envelope procedure —
+    steady-state, expected-reward, next, time-unbounded until; on a
+    precise context it is {!tri_of_bool} of {!sat}. *)
 
 type verdict =
   | Boolean of bool array
@@ -195,10 +180,12 @@ type verdict =
       (** robust contexts: quantitative path queries *)
 
 val eval_query : ?memo:memo -> t -> Logic.Ast.query -> verdict
-(** [memo] (default none: the historical uncached path) shares Sat-sets,
-    path-probability vectors and Theorem 1 artefacts across calls — the
-    per-query entry point of the batch engine.  Memoised verdicts are
-    returned as fresh copies and are bit-identical to the verdicts of
-    the uncached path.  Robust contexts additionally memoise
-    three-valued Sat vectors and path envelopes (the serving daemon's
-    warm envelope caches). *)
+(** A query's verdict: {!Boolean} and {!Numeric} on a precise context,
+    {!Three_valued} and {!Interval} on a robust one, which refuses
+    [S=?] and [R=?] queries and the operators listed at {!robust_sat}
+    with {!Unsupported}.  [memo] (default: a private memo for this call)
+    shares Sat-sets, path values and Theorem 1 artefacts across calls —
+    the per-query entry point of the batch engine and the serving
+    daemon's warm caches, envelopes included.  Verdicts read from a
+    shared memo are returned as fresh copies and are bit-identical to
+    the verdicts of a private one. *)

@@ -354,18 +354,9 @@ let until_rows_on r ?(pool = Parallel.Pool.sequential) ?telemetry
       else if not phi.(s) then 0.0
       else solutions.{pipe_of s})
 
-let until_rows_via ?config ?telemetry ?pool solve_rows m ~phi ~psi
-    ~time_bound ~reward_bound =
-  let r = prepare ?config ?telemetry m ~phi ~psi in
-  until_rows_on r ?pool ?telemetry solve_rows ~phi ~psi ~time_bound
-    ~reward_bound
-
 (* A scalar solver answers rows one problem at a time. *)
 let rows_of_scalar solve p ~rows =
   Array.map (fun b -> solve (Problem.from_state p b)) rows
 
 let until_probabilities_on r ?pool ?telemetry solve =
   until_rows_on r ?pool ?telemetry (rows_of_scalar solve)
-
-let until_probabilities_via ?config ?telemetry ?pool solve =
-  until_rows_via ?config ?telemetry ?pool (rows_of_scalar solve)

@@ -107,12 +107,6 @@ val until_rows_on :
     answers are bit-identical for every pool size.  [phi] and [psi] must
     be the masks the pipeline was prepared from. *)
 
-val until_rows_via :
-  ?config:config -> ?telemetry:Telemetry.t -> ?pool:Parallel.Pool.t ->
-  rows_solver -> Markov.Mrm.t -> phi:bool array -> psi:bool array ->
-  time_bound:float -> reward_bound:float -> Linalg.Vec.t
-(** {!prepare} + {!until_rows_on} in one call. *)
-
 val until_probabilities_on :
   t -> ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
   (Problem.t -> float) -> phi:bool array -> psi:bool array ->
@@ -121,10 +115,3 @@ val until_probabilities_on :
     {!Problem.from_state}.  Answers are those of the rows form whenever
     the rows solver agrees with the scalar one row by row (as
     [Engine.solve_rows] does with [Engine.solve]). *)
-
-val until_probabilities_via :
-  ?config:config -> ?telemetry:Telemetry.t -> ?pool:Parallel.Pool.t ->
-  (Problem.t -> float) -> Markov.Mrm.t -> phi:bool array ->
-  psi:bool array -> time_bound:float -> reward_bound:float -> Linalg.Vec.t
-(** {!prepare} + {!until_probabilities_on} in one call — the drop-in
-    replacement for {!Reduced.until_probabilities_via}. *)

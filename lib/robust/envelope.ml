@@ -85,83 +85,46 @@ let solve_dir ~pool ~telemetry ~cancel ~lambda ~epsilon ~maximize imrm ~phi
     finish acc fg.Numerics.Fox_glynn.total
   end
 
-(* The precise code path for zero-width models: exactly what the precise
-   checker runs — transient analysis on the absorbed chain without a
-   reward bound, the Theorem 1 reduction pipeline plus a Section 4
-   engine with one.  Matching the precise call sites argument for
-   argument is what makes point envelopes bit-identical. *)
-let precise_until ?pool ?telemetry ?cancel ~engine ~reduction ~epsilon m ~phi
-    ~psi ~time_bound ~reward_bound =
-  let pool = Option.value pool ~default:Parallel.Pool.sequential in
-  match reward_bound with
-  | None ->
-    let chain = Markov.Mrm.ctmc m in
-    let n = Markov.Ctmc.n_states chain in
-    let absorb = Array.init n (fun s -> psi.(s) || not phi.(s)) in
-    let absorbed = Markov.Transform.make_absorbing chain ~absorb in
-    Markov.Transient.reachability_all ~epsilon ~pool ?telemetry ?cancel
-      absorbed ~goal:psi ~t:time_bound
-  | Some reward_bound ->
-    let solve = Perf.Engine.solve_rows ~pool ?telemetry ?cancel engine in
-    Perf.Reduction.until_rows_via ~config:reduction ?telemetry ~pool solve m
-      ~phi ~psi ~time_bound ~reward_bound
-
-let until ?pool ?telemetry ?cancel ?rate ?(engine = Perf.Engine.default)
-    ?(reduction = Perf.Reduction.default) ~epsilon imrm ~phi_must ~phi_may
+let until ?pool ?telemetry ?cancel ?rate ~epsilon imrm ~phi_must ~phi_may
     ~psi_must ~psi_may ~time_bound ~reward_bound =
   Telemetry.with_span telemetry "robust.envelope" @@ fun () ->
   Telemetry.add telemetry "robust.envelopes" 1;
-  if Imrm.is_point imrm then begin
-    let m = Imrm.point_model imrm in
-    let solve ~phi ~psi =
-      precise_until ?pool ?telemetry ?cancel ~engine ~reduction ~epsilon m
-        ~phi ~psi ~time_bound ~reward_bound
-    in
-    let lo = solve ~phi:phi_must ~psi:psi_must in
-    let hi =
-      if phi_must = phi_may && psi_must = psi_may then Linalg.Vec.copy lo
-      else solve ~phi:phi_may ~psi:psi_may
-    in
-    { lo; hi }
-  end
-  else begin
-    let lambda =
-      match rate with
-      | Some r ->
-        if r < Imrm.max_exit_hi imrm then
-          invalid_arg
-            "Envelope.until: rate must dominate every upper exit-rate \
-             endpoint";
-        r
-      | None -> Imrm.max_exit_hi imrm
-    in
-    let pool' = Option.value pool ~default:Parallel.Pool.sequential in
-    (* With an active reward bound the lower envelope walks only through
-       Phi-states that cannot violate it ([rho_hi <= r / t]: any path
-       spending all of [0, t] on such states accumulates at most [r]),
-       while the upper envelope drops the bound.  When every reward
-       interval is bounded by [r / t] the restriction is a no-op and
-       both coincide with the unrestricted robust until. *)
-    let phi_lower =
-      match reward_bound with
-      | None -> phi_must
-      | Some r ->
-        let threshold =
-          if time_bound > 0.0 then r /. time_bound else Float.infinity
-        in
-        Array.mapi
-          (fun s keep -> keep && Imrm.reward_hi imrm s <= threshold)
-          phi_must
-    in
-    let lo =
-      Telemetry.with_span telemetry "robust.lower" @@ fun () ->
-      solve_dir ~pool:pool' ~telemetry ~cancel ~lambda ~epsilon
-        ~maximize:false imrm ~phi:phi_lower ~psi:psi_must ~time_bound
-    in
-    let hi =
-      Telemetry.with_span telemetry "robust.upper" @@ fun () ->
-      solve_dir ~pool:pool' ~telemetry ~cancel ~lambda ~epsilon
-        ~maximize:true imrm ~phi:phi_may ~psi:psi_may ~time_bound
-    in
-    { lo; hi }
-  end
+  let lambda =
+    match rate with
+    | Some r ->
+      if r < Imrm.max_exit_hi imrm then
+        invalid_arg
+          "Envelope.until: rate must dominate every upper exit-rate \
+           endpoint";
+      r
+    | None -> Imrm.max_exit_hi imrm
+  in
+  let pool = Option.value pool ~default:Parallel.Pool.sequential in
+  (* With an active reward bound the lower envelope walks only through
+     Phi-states that cannot violate it ([rho_hi <= r / t]: any path
+     spending all of [0, t] on such states accumulates at most [r]),
+     while the upper envelope drops the bound.  When every reward
+     interval is bounded by [r / t] the restriction is a no-op and both
+     coincide with the unrestricted robust until. *)
+  let phi_lower =
+    match reward_bound with
+    | None -> phi_must
+    | Some r ->
+      let threshold =
+        if time_bound > 0.0 then r /. time_bound else Float.infinity
+      in
+      Array.mapi
+        (fun s keep -> keep && Imrm.reward_hi imrm s <= threshold)
+        phi_must
+  in
+  let lo =
+    Telemetry.with_span telemetry "robust.lower" @@ fun () ->
+    solve_dir ~pool ~telemetry ~cancel ~lambda ~epsilon ~maximize:false imrm
+      ~phi:phi_lower ~psi:psi_must ~time_bound
+  in
+  let hi =
+    Telemetry.with_span telemetry "robust.upper" @@ fun () ->
+    solve_dir ~pool ~telemetry ~cancel ~lambda ~epsilon ~maximize:true imrm
+      ~phi:phi_may ~psi:psi_may ~time_bound
+  in
+  { lo; hi }

@@ -29,8 +29,6 @@ val until :
   ?telemetry:Telemetry.t ->
   ?cancel:Numerics.Cancel.t ->
   ?rate:float ->
-  ?engine:Perf.Engine.spec ->
-  ?reduction:Perf.Reduction.config ->
   epsilon:float ->
   Imrm.t ->
   phi_must:bool array ->
@@ -64,11 +62,11 @@ val until :
     common rate to several solves makes envelope nesting exact, which
     the monotonicity tests exploit.
 
-    Zero-width models ({!Imrm.is_point}) delegate to the precise code
-    path — transient analysis for [reward_bound = None], the Theorem 1
-    pipeline with [engine] (default {!Perf.Engine.default}) and
-    [reduction] (default {!Perf.Reduction.default}) otherwise — and
-    return it for both bounds, bit-identically to the precise checker.
+    A zero-width model ({!Imrm.is_point}) gets the same iteration and
+    margins as any other, so its envelope brackets the precise answer
+    instead of reproducing it.  The checker runs its precise procedures
+    on such models and never calls this: that is what keeps a robust
+    context over {!Imrm.point} bit-identical to a precise one.
 
     [pool], [telemetry] ([robust.*] counters under a [robust.envelope]
     span) and [cancel] follow the house conventions; pool-parallel runs

@@ -8,8 +8,8 @@ type t = {
   reward_hi : float array;    (* length n *)
   source : Markov.Mrm.t option;
       (* the exact point model when built by [point]/[of_mrm] with zero
-         drift — kept so zero-width envelopes delegate to the precise
-         engines on the very same value, bit for bit *)
+         drift — kept so zero-width checks run the precise engines on
+         the very same value, bit for bit *)
 }
 
 (* [what] names the entry; it is only formatted when the check fails,

@@ -30,7 +30,7 @@ val make :
 val point : Markov.Mrm.t -> t
 (** The zero-width injection: every interval is the singleton of the
     precise value.  The source model is retained, so {!point_model}
-    returns it unchanged — that is what lets the envelope solver
+    returns it unchanged — that is what lets a robust checker context
     reproduce the precise engines bit for bit on point models.  Raises
     [Invalid_argument] on models with impulse rewards. *)
 

@@ -2,7 +2,8 @@
    that [Batch.run] answers every query bit-identically to a sequential
    single-query [Checker.eval_query] run — with and without an
    across-queries domain pool — while the shared memo's cache counters
-   stay consistent. *)
+   stay consistent.  A robust context over the zero-width model answers
+   the same queries through the same recursion, bit for bit. *)
 
 let verdict_equal a b =
   match (a, b) with
@@ -17,7 +18,28 @@ let pp_verdict = function
   | Checker.Numeric v ->
     String.concat " "
       (List.map (Printf.sprintf "%.17g") (Array.to_list (Linalg.Vec.to_array v)))
-  | Checker.Three_valued _ | Checker.Interval _ -> "<robust>"
+  | Checker.Three_valued tris ->
+    String.concat ""
+      (List.map
+         (fun t -> String.sub (Checker.tri_to_string t) 0 1)
+         (Array.to_list tris))
+  | Checker.Interval { Robust.Envelope.lo; hi } ->
+    String.concat " "
+      (List.map2 (Printf.sprintf "[%.17g, %.17g]")
+         (Array.to_list (Linalg.Vec.to_array lo))
+         (Array.to_list (Linalg.Vec.to_array hi)))
+
+(* A zero-width robust verdict is the precise one, bit for bit: the
+   three-valued states of the mask, or the degenerate interval of each
+   value. *)
+let robust_equal precise robust =
+  let bits v = Array.map Int64.bits_of_float (Linalg.Vec.to_array v) in
+  match (precise, robust) with
+  | Checker.Boolean mask, Checker.Three_valued tris ->
+    Array.map Checker.tri_of_bool mask = tris
+  | Checker.Numeric v, Checker.Interval { Robust.Envelope.lo; hi } ->
+    bits lo = bits v && bits hi = bits v
+  | _ -> false
 
 (* A pool of well-formed CSRL queries over the propositions of
    {!Models.Random_mrm.generate_labeled}.  Reward-bounded-only untils are
@@ -39,7 +61,13 @@ let query_pool =
     "P>=0.9 ( a U[t<=2][r<=3] b )";
     "P<=0.5 ( (a | b) U[t<=1] c )";
     "S=? ( b )";
-    "P=? ( F[t<=1] (b & !c) )" ]
+    "P=? ( F[t<=1] (b & !c) )";
+    "P=? ( (P>=0.5 ( a U[t<=2][r<=3] b )) U[t<=1] c )" ]
+
+(* The pool's queries that interval models refuse, zero width included:
+   no envelope procedure bounds an unbounded until, a next or a
+   steady-state operator. *)
+let refused_on_intervals = [ "P=? ( a U b )"; "P=? ( X a )"; "S=? ( b )" ]
 
 let gen_batch =
   QCheck2.Gen.(
@@ -84,6 +112,30 @@ let batch_matches_sequential =
       check "no pool" (Batch.run ~memo ctx queries);
       let counters = Checker.memo_counters memo in
       check_counters "no pool" counters;
+      (* The zero-width robust context, every query through one shared
+         memo. *)
+      let robust = Checker.make_robust (Robust.Imrm.point m) labeling in
+      let robust_memo = Checker.create_memo () in
+      List.iteri
+        (fun i (text, want) ->
+          let refused = List.mem text refused_on_intervals in
+          match Checker.eval_query ~memo:robust_memo robust (List.nth queries i)
+          with
+          | got ->
+            if refused then
+              QCheck2.Test.fail_reportf
+                "zero width: query %d (%s) answered; interval models refuse it"
+                i text;
+            if not (robust_equal want got) then
+              QCheck2.Test.fail_reportf
+                "zero width: query %d (%s) differs:\n  precise %s\n  robust  %s"
+                i text (pp_verdict want) (pp_verdict got)
+          | exception Checker.Unsupported message ->
+            if not refused then
+              QCheck2.Test.fail_reportf "zero width: query %d (%s) refused: %s"
+                i text message)
+        (List.combine texts expected);
+      check_counters "zero width" (Checker.memo_counters robust_memo);
       let sat_lookups =
         match List.assoc_opt "sat" counters with
         | Some c -> c.Perf.Batch.lookups

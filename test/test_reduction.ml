@@ -27,6 +27,14 @@ let masks labeling =
 
 let counter tel name = Option.value ~default:0 (Telemetry.counter tel name)
 
+(* The pipeline's per-state answers: prepare once, then one scalar solve
+   per row of each reachable-set group. *)
+let through_pipeline ?config ?telemetry ?pool solve m ~phi ~psi ~time_bound
+    ~reward_bound =
+  let r = Perf.Reduction.prepare ?config ?telemetry m ~phi ~psi in
+  Perf.Reduction.until_probabilities_on r ?pool ?telemetry solve ~phi ~psi
+    ~time_bound ~reward_bound
+
 (* The pipeline's no-op promise, read back from its own telemetry: no
    state pruned or lumped in prepare, and no per-solve init pruning. *)
 let nothing_fired tel =
@@ -58,8 +66,8 @@ let pipeline_matches_baseline =
       in
       let tel = Telemetry.create () in
       let piped =
-        Perf.Reduction.until_probabilities_via ~telemetry:tel solve m ~phi
-          ~psi ~time_bound ~reward_bound
+        through_pipeline ~telemetry:tel solve m ~phi ~psi ~time_bound
+          ~reward_bound
       in
       Array.iteri
         (fun s expected ->
@@ -99,8 +107,8 @@ let impulse_models_pass_through =
         in
         let tel = Telemetry.create () in
         let piped =
-          Perf.Reduction.until_probabilities_via ~telemetry:tel solve m ~phi
-            ~psi ~time_bound ~reward_bound
+          through_pipeline ~telemetry:tel solve m ~phi ~psi ~time_bound
+            ~reward_bound
         in
         (baseline, piped, tel)
       in
@@ -167,12 +175,11 @@ let pool_dispatch_is_bit_identical =
             QCheck2.Test.fail_reportf "seed %d: Reduced pool dispatch differs"
               seed;
           let seq_pipe =
-            Perf.Reduction.until_probabilities_via solve m ~phi ~psi
-              ~time_bound ~reward_bound
+            through_pipeline solve m ~phi ~psi ~time_bound ~reward_bound
           in
           let pooled_pipe =
-            Perf.Reduction.until_probabilities_via ~pool solve m ~phi ~psi
-              ~time_bound ~reward_bound
+            through_pipeline ~pool solve m ~phi ~psi ~time_bound
+              ~reward_bound
           in
           if pooled_pipe <> seq_pipe then
             QCheck2.Test.fail_reportf
@@ -261,8 +268,7 @@ let test_symmetric_answers_match () =
       ~reward_bound
   in
   let piped =
-    Perf.Reduction.until_probabilities_via solve m ~phi ~psi ~time_bound
-      ~reward_bound
+    through_pipeline solve m ~phi ~psi ~time_bound ~reward_bound
   in
   Array.iteri
     (fun s expected ->
@@ -316,8 +322,8 @@ let test_opt_out_is_identity () =
   in
   let tel = Telemetry.create () in
   let off =
-    Perf.Reduction.until_probabilities_via ~config:Perf.Reduction.none
-      ~telemetry:tel solve m ~phi ~psi ~time_bound ~reward_bound
+    through_pipeline ~config:Perf.Reduction.none ~telemetry:tel solve m ~phi
+      ~psi ~time_bound ~reward_bound
   in
   Alcotest.(check bool) "bit-identical" true (off = baseline);
   Alcotest.(check int) "no runs recorded" 0 (counter tel "reduction.runs");
@@ -399,9 +405,11 @@ let primal_rows (p : Perf.Problem.t) ~rows =
 let golden_primal mrm labeling ~phi ~psi ~time_bound ~reward_bound =
   let ctx = Checker.make mrm labeling in
   let sat f = Checker.sat ctx (Logic.Parser.state_formula f) in
+  let phi = sat phi and psi = sat psi in
+  let r = Perf.Reduction.prepare mrm ~phi ~psi in
   hex_list
-    (Perf.Reduction.until_rows_via ~config:Perf.Reduction.default primal_rows
-       mrm ~phi:(sat phi) ~psi:(sat psi) ~time_bound ~reward_bound)
+    (Perf.Reduction.until_rows_on r primal_rows ~phi ~psi ~time_bound
+       ~reward_bound)
 
 let check_golden name answer expected =
   Alcotest.(check (list string)) name expected answer

@@ -211,7 +211,7 @@ let robust_memo_identity () =
       Alcotest.(check bool) "warm hi identical" true
         (bits cold.Robust.Envelope.hi.{s} = bits warm.Robust.Envelope.hi.{s}))
     (vec_states cold.Robust.Envelope.lo);
-  let counters = List.assoc "envelope" (Checker.memo_counters memo) in
+  let counters = List.assoc "path" (Checker.memo_counters memo) in
   Alcotest.(check int) "warm lookup hit" 1 counters.Perf.Batch.hits
 
 (* Three-valued threshold verdicts against an envelope. *)
