@@ -343,7 +343,7 @@ let materialise path succ =
    engine through Perf.Symbolic.                                        *)
 
 let run model_name file engine_text epsilon jobs trace stats list_props info
-    lump no_reduce batch_file frontier_fmt rate_drift imrm_file formula_text =
+    lump batch_file frontier_fmt rate_drift imrm_file formula_text =
   let jobs =
     match jobs with
     | Some j when j >= 1 -> j
@@ -424,9 +424,6 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
       0
     end
     else begin
-      let reduction =
-        if no_reduce then Perf.Reduction.none else Perf.Reduction.default
-      in
       Parallel.Pool.with_pool ~jobs @@ fun pool ->
       (* Busy-time accounting costs two clock reads per chunk, so it is
          only switched on for --trace, keeping --stats output
@@ -438,11 +435,10 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
       let ctx, engine_label =
         match model with
         | `Point mrm ->
-          (Checker.make ~engine ~epsilon ~pool ?telemetry ~reduction mrm
-             labeling, spec)
+          (Checker.make ~engine ~epsilon ~pool ?telemetry mrm labeling, spec)
         | `Interval imrm ->
-          (Checker.make_robust ~engine ~epsilon ~pool ?telemetry ~reduction
-             imrm labeling, "robust-envelope over " ^ spec)
+          (Checker.make_robust ~engine ~epsilon ~pool ?telemetry imrm
+             labeling, "robust-envelope over " ^ spec)
       in
       let finish_as mode fields =
         finish ~pool
@@ -619,16 +615,6 @@ let lump_arg =
   in
   Arg.(value & flag & info [ "lump" ] ~doc)
 
-let no_reduce_arg =
-  let doc =
-    "Disable the automatic quotient-and-prune reduction pipeline (exact \
-     lumping and reachability pruning applied after the Theorem 1 \
-     reduction).  The pipeline never changes answers — this flag exists \
-     for A/B timing and debugging; with it the engines solve the \
-     Theorem 1 model directly."
-  in
-  Arg.(value & flag & info [ "no-reduce" ] ~doc)
-
 let batch_arg =
   let doc =
     "Evaluate a batch of queries from a JSON file ({\"queries\": [...]}, \
@@ -704,7 +690,6 @@ let cmd =
     Term.(
       const run $ model_arg $ file_arg $ engine_arg $ epsilon_arg $ jobs_arg
       $ trace_arg $ stats_arg $ list_props_arg $ info_arg $ lump_arg
-      $ no_reduce_arg $ batch_arg $ frontier_arg $ rate_drift_arg $ imrm_arg
-      $ formula_arg)
+      $ batch_arg $ frontier_arg $ rate_drift_arg $ imrm_arg $ formula_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -40,7 +40,7 @@ let parse_tcp = function
          | Some _ | None -> invalid "--tcp needs HOST:PORT with a numeric port")
     end
 
-let run socket tcp executors jobs queue deadline engine_text epsilon no_reduce
+let run socket tcp executors jobs queue deadline engine_text epsilon
     preload_text trace stats =
   let executors = parse_executors executors in
   let tcp = parse_tcp tcp in
@@ -74,9 +74,6 @@ let run socket tcp executors jobs queue deadline engine_text epsilon no_reduce
       Some (Telemetry.create ~clock:monotonic_seconds ())
     else None
   in
-  let reduction =
-    if no_reduce then Perf.Reduction.none else Perf.Reduction.default
-  in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Parallel.Pool.with_pool ~jobs @@ fun pool ->
   (if trace <> None then
@@ -87,7 +84,6 @@ let run socket tcp executors jobs queue deadline engine_text epsilon no_reduce
     { (Server.Service.default_config ~clock:monotonic_seconds ()) with
       Server.Service.engine;
       epsilon;
-      reduction;
       pool;
       queue_bound = queue;
       executors;
@@ -208,10 +204,6 @@ let epsilon_arg =
   let doc = "Accuracy of transient analyses (must be in (0,1))." in
   Arg.(value & opt float 1e-9 & info [ "epsilon" ] ~docv:"EPS" ~doc)
 
-let no_reduce_arg =
-  let doc = "Disable the automatic quotient-and-prune reduction pipeline." in
-  Arg.(value & flag & info [ "no-reduce" ] ~doc)
-
 let preload_arg =
   let doc =
     "Comma-separated built-in models to load into the registry before \
@@ -268,7 +260,7 @@ let cmd =
     (Cmd.info "csrl-serve" ~version:"1.0.0" ~doc ~man)
     Term.(
       const run $ socket_arg $ tcp_arg $ executors_arg $ jobs_arg $ queue_arg
-      $ deadline_arg $ engine_arg $ epsilon_arg $ no_reduce_arg $ preload_arg
-      $ trace_arg $ stats_arg)
+      $ deadline_arg $ engine_arg $ epsilon_arg $ preload_arg $ trace_arg
+      $ stats_arg)
 
 let () = exit (Cmd.eval cmd)

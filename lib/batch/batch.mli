@@ -5,11 +5,12 @@
     work the queries have in common is done once:
 
     - Sat-sets of hash-consed subformulas ([Checker]'s tables);
-    - the absorbing-transformed reduced MRM of Theorem 1, keyed by
-      [(Sat Phi, Sat Psi)] — shared by queries differing only in [t],
-      [r] or the bound [p] ({!Perf.Batch});
-    - the solved until-probability vector, additionally keyed by
-      [(t, r)] — shared by queries differing only in [p];
+    - path values — the solved until-probability vectors among them —
+      of hash-consed path formulas, shared by queries differing only in
+      the bound [p];
+    - the Theorem 1 model and the quotient-and-prune pipeline built on
+      it, keyed by [(Sat Phi, Sat Psi)] — shared by queries differing
+      only in [t], [r] or [p] ({!Perf.Batch});
     - Fox–Glynn weight windows, keyed by [(q·t, epsilon)]
       ({!Numerics.Fox_glynn}'s process-wide memo).
 
@@ -86,9 +87,9 @@ val caches_json : (string * Numerics.Memo.counters) list -> Io.Json.t
     {!Frontier.run} decomposes a [frontier] query into bounded-until
     probes evaluated by {!Checker.eval_query} on the caller's context
     with a shared memo, and hands them to {!Perf.Frontier.sweep}.  The
-    probes therefore share every batch cache layer — Sat sets, the
-    Theorem-1 reduction per [(Sat Phi, Sat Psi)], solved until vectors
-    per [(t, r)], and the process-wide Fox–Glynn windows — while each
+    probes therefore share every batch cache layer — Sat sets, path
+    values, the Theorem 1 pipeline per [(Sat Phi, Sat Psi)] and the
+    process-wide Fox–Glynn windows — while each
     emitted point stays bit-identical to a cold single-query solve of
     the same bounds (the {!run} invariant, inherited probe by probe). *)
 module Frontier : sig

@@ -11,23 +11,19 @@ type t = {
   epsilon : float;
   pool : Parallel.Pool.t;
   telemetry : Telemetry.t option;
-  reduction : Perf.Reduction.config;
   cancel : Numerics.Cancel.t option;
 }
 
 exception Unsupported of string
 
 let make ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
-    ?(pool = Parallel.Pool.sequential) ?telemetry
-    ?(reduction = Perf.Reduction.default) ?cancel mrm labeling =
+    ?(pool = Parallel.Pool.sequential) ?telemetry ?cancel mrm labeling =
   if Markov.Labeling.n_states labeling <> Markov.Mrm.n_states mrm then
     invalid_arg "Checker.make: labeling and model sizes differ";
-  { mrm; labeling; engine; imrm = None; epsilon; pool; telemetry; reduction;
-    cancel }
+  { mrm; labeling; engine; imrm = None; epsilon; pool; telemetry; cancel }
 
 let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
-    ?(pool = Parallel.Pool.sequential) ?telemetry
-    ?(reduction = Perf.Reduction.default) ?cancel imrm labeling =
+    ?(pool = Parallel.Pool.sequential) ?telemetry ?cancel imrm labeling =
   if Markov.Labeling.n_states labeling <> Robust.Imrm.n_states imrm then
     invalid_arg "Checker.make_robust: labeling and model sizes differ";
   let mrm =
@@ -35,7 +31,7 @@ let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     else Robust.Imrm.midpoint imrm
   in
   { mrm; labeling; engine; imrm = Some imrm; epsilon; pool; telemetry;
-    reduction; cancel }
+    cancel }
 
 let mrm ctx = ctx.mrm
 let robust_model ctx = ctx.imrm
@@ -135,7 +131,7 @@ type memo = {
   mutable next_id : int;
   sat_tbl : (int, sat_set) Numerics.Memo.t;
   path_tbl : (int, Robust.Envelope.result) Numerics.Memo.t;
-  perf : Perf.Batch.t;   (* reduced-model and solve caches (Theorem 1) *)
+  perf : Perf.Batch.t;   (* the Theorem 1 pipeline per mask pair *)
 }
 
 let create_memo () =
@@ -265,21 +261,20 @@ let until_reward_bounded ctx ~phi ~psi ~reward_bound =
 
 (* ------------------------------------------------------------------ *)
 (* Time- and reward-bounded until (P3): Theorem 1 + a Section 4 engine,
-   through the memo's caches.  The reduction only depends on (Sat Phi,
-   Sat Psi) and the solve on (Sat Phi, Sat Psi, t, r): queries of a
-   batch that differ in the bound p — or, for the reduction, in t and r
-   too — share the cached artefacts.  Per-state answers come back
-   through the quotient-and-prune pipeline's map, so the Sat-set
-   translation is transparent to nested formulas.                     *)
+   through the memo's pipeline cache.  The pipeline only depends on
+   (Sat Phi, Sat Psi), so queries of a batch that differ in t, r or p
+   share it; the solved vector is stored once, as the path value.
+   Per-state answers come back through the quotient-and-prune
+   pipeline's map, so the Sat-set translation is transparent to nested
+   formulas.                                                           *)
 
 let until_both_bounded memo ctx ~phi ~psi ~time_bound ~reward_bound =
   let solve =
     Perf.Engine.solve_rows ~pool:ctx.pool ?telemetry:ctx.telemetry
       ?cancel:ctx.cancel ctx.engine
   in
-  Perf.Batch.until_probabilities memo.perf ~config:ctx.reduction
-    ?telemetry:ctx.telemetry ~pool:ctx.pool solve ctx.mrm ~phi ~psi
-    ~time_bound ~reward_bound
+  Perf.Batch.until_probabilities memo.perf ?telemetry:ctx.telemetry
+    ~pool:ctx.pool solve ctx.mrm ~phi ~psi ~time_bound ~reward_bound
 
 (* ------------------------------------------------------------------ *)
 (* Next.  The jump out of [s] must happen at a sojourn time inside the

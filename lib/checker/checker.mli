@@ -29,22 +29,20 @@ exception Unsupported of string
 
 val make :
   ?engine:Perf.Engine.spec -> ?epsilon:float -> ?pool:Parallel.Pool.t ->
-  ?telemetry:Telemetry.t -> ?reduction:Perf.Reduction.config ->
-  ?cancel:Numerics.Cancel.t -> Markov.Mrm.t -> Markov.Labeling.t -> t
+  ?telemetry:Telemetry.t -> ?cancel:Numerics.Cancel.t -> Markov.Mrm.t ->
+  Markov.Labeling.t -> t
 (** [engine] (default {!Perf.Engine.default}) solves the [P3] problems;
     [epsilon] (default [1e-9]) is the accuracy of transient analyses;
     [pool] (default sequential) runs the numerical kernels — transient
     analyses and the [P3] engines — on a domain pool (the CLI's
     [--jobs]).
 
-    [reduction] (default {!Perf.Reduction.default}) configures the
-    quotient-and-prune pipeline the [P3] path runs between the Theorem 1
-    transform and the engine; per-state answers are translated back to
-    the original state space, so nested CSRL formulas are oblivious to
-    the quotient.  {!Perf.Reduction.none} (the CLI's [--no-reduce])
-    disables it; the pipeline is also automatically a no-op — answers
-    bit-identical to the unreduced solve — on models with no exploitable
-    symmetry or unreachable mass.
+    The [P3] path always runs the quotient-and-prune pipeline
+    ({!Perf.Reduction}) between the Theorem 1 transform and the engine;
+    per-state answers are translated back to the original state space,
+    so nested CSRL formulas are oblivious to the quotient.  On models
+    with no exploitable symmetry or unreachable mass no stage fires and
+    answers are bit-identical to the unreduced solve.
 
     [telemetry] (default off) threads a {!Telemetry} recorder through
     every numerical procedure the traversal dispatches to: transient
@@ -67,15 +65,15 @@ val make :
 
 val make_robust :
   ?engine:Perf.Engine.spec -> ?epsilon:float -> ?pool:Parallel.Pool.t ->
-  ?telemetry:Telemetry.t -> ?reduction:Perf.Reduction.config ->
-  ?cancel:Numerics.Cancel.t -> Robust.Imrm.t -> Markov.Labeling.t -> t
+  ?telemetry:Telemetry.t -> ?cancel:Numerics.Cancel.t -> Robust.Imrm.t ->
+  Markov.Labeling.t -> t
 (** A robust context over an interval-valued model: {!eval_query}
     answers {!Three_valued} Sat verdicts and {!Interval} path envelopes
     computed by {!Robust.Envelope.until} under an
     [engine.robust-envelope] span.  A zero-width model
     ({!Robust.Imrm.is_point}) needs no envelope: the checker runs its
-    precise procedures on the point model, configured by [engine] and
-    [reduction], so a point context and a robust context over
+    precise procedures on the point model, configured by [engine], so a
+    point context and a robust context over
     {!Robust.Imrm.point} of the same model produce bit-identical
     probability values.  [epsilon] is both the Fox–Glynn accuracy and
     the envelope safety margin; the remaining parameters mean exactly
@@ -115,11 +113,11 @@ val with_cancel : t -> Numerics.Cancel.t option -> t
 type memo
 (** A cross-query cache for one fixed context: Sat-sets and path
     values keyed by hash-consed subformula (structurally equal
-    subformulas are interned to one id), plus the
-    {!Perf.Batch} caches for the Theorem 1 pipeline (the reduced model
-    keyed by [(Sat Phi, Sat Psi)], the solved until-vector additionally
-    by [(t, r)]).  Everything stored is a deterministic function of its
-    key, so memoised answers are bit-identical to cold ones.
+    subformulas are interned to one id), plus the {!Perf.Batch} cache
+    of the Theorem 1 pipeline keyed by [(Sat Phi, Sat Psi)].  The path
+    table is the only store of a solved until-vector.  Everything
+    stored is a deterministic function of its key, so memoised answers
+    are bit-identical to cold ones.
 
     A memo is only meaningful for the context (model, labeling, engine,
     epsilon) it was first used with — there is no invalidation, because
@@ -130,10 +128,9 @@ val create_memo : unit -> memo
 
 val memo_counters : memo -> (string * Numerics.Memo.counters) list
 (** Lookup/hit/miss statistics per cache, sorted by name: ["path"],
-    ["reduced"], ["reduction"], ["sat"] and ["until"], on both context
-    kinds (a robust context's three-valued Sat-sets count under
-    ["sat"], its envelopes under ["path"]).  In every entry
-    [hits + misses = lookups]. *)
+    ["reduction"] and ["sat"], on both context kinds (a robust
+    context's three-valued Sat-sets count under ["sat"], its envelopes
+    under ["path"]).  In every entry [hits + misses = lookups]. *)
 
 val sat : t -> Logic.Ast.state_formula -> bool array
 (** The characteristic vector of [Sat Phi].  Raises

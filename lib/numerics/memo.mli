@@ -2,8 +2,9 @@
 
     One skeleton serves every cache layer of the checking pipeline: the
     process-wide Fox–Glynn window memo ({!Fox_glynn}), the Theorem 1
-    caches of [Perf.Batch] and the Sat-set, path and envelope tables of
-    the checker's cross-query memo.  A table is a [Hashtbl] plus its
+    pipeline cache of [Perf.Batch] and the Sat-set and path tables of
+    the checker's cross-query memo (path values are point vectors or
+    envelopes).  A table is a [Hashtbl] plus its
     counters; the mutex is the caller's, so several tables (and other
     state, such as a formula interning table) may share one lock.
 

@@ -113,13 +113,8 @@ let dispatch ?pool ?telemetry ?cancel spec (p : Problem.t) =
         Sericola.solve ~epsilon ?pool ?telemetry ?cancel p
       | Windowed _ -> assert false
 
-let solve ?pool ?telemetry ?reduction ?cancel spec (p : Problem.t) =
+let solve ?pool ?telemetry ?cancel spec (p : Problem.t) =
   Telemetry.with_span telemetry ("engine." ^ name spec) @@ fun () ->
-  let p =
-    match reduction with
-    | None -> p
-    | Some config -> Reduction.apply ?telemetry config p
-  in
   dispatch ?pool ?telemetry ?cancel spec (choose_side ?telemetry spec p)
 
 (* The side is chosen once, before the trivial-bound test: the rule reads

@@ -46,20 +46,14 @@ val name : spec -> string
 
 val solve :
   ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t ->
-  ?reduction:Reduction.config -> ?cancel:Numerics.Cancel.t ->
-  spec -> Problem.t -> float
-(** [Pr{Y_t <= r, X_t in goal}] with the chosen procedure.  Problems whose
-    reward bound can never be exceeded short-circuit to plain transient
-    analysis (this also covers the corner cases the individual engines
-    reject, e.g. a pseudo-Erlang bound of zero on a zero-reward model).
-
-    [reduction] (default: absent, i.e. no pipeline — existing callers
-    are untouched) first runs the problem through {!Reduction.apply}:
-    goal-unreachable merge, init-reachability pruning and the
-    ordinary-lumpability quotient, all exact, before the engine sees it.
-    The occupation-time engine then picks its side (see
-    {!Occupation_time}) on the problem the pipeline hands it, before the
-    trivial-bound shortcut.
+  ?cancel:Numerics.Cancel.t -> spec -> Problem.t -> float
+(** [Pr{Y_t <= r, X_t in goal}] with the chosen procedure, on the problem
+    as given (the quotient-and-prune pipeline is {!Reduction}'s, which
+    hands its problems to {!solve_rows}).  Problems whose reward bound can never be exceeded short-circuit to
+    plain transient analysis (this also covers the corner cases the
+    individual engines reject, e.g. a pseudo-Erlang bound of zero on a
+    zero-reward model).  The occupation-time engine picks its side (see
+    {!Occupation_time}) before the trivial-bound shortcut.
 
     [pool] runs the chosen procedure's hot loops on a domain pool (see
     {!Parallel.Pool}): row-partitioned matrix–vector products for the

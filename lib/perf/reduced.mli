@@ -45,12 +45,3 @@ val until_probabilities_via :
     The per-initial-state solves are independent and dispatched across
     [pool] (cutoff one, so each solve's inner kernels run inline on the
     busy pool and answers stay bit-identical for every pool size). *)
-
-val until_probabilities_on :
-  ?pool:Parallel.Pool.t -> t -> (Problem.t -> float) -> phi:bool array ->
-  psi:bool array -> time_bound:float -> reward_bound:float -> Linalg.Vec.t
-(** Like {!until_probabilities_via}, but on a reduction built beforehand
-    with {!reduce} — the transformed model only depends on
-    [(Sat Phi, Sat Psi)], so batched queries that differ in [t] or [r]
-    alone share one reduction (see {!Batch}).  [phi] and [psi] must be
-    the masks the reduction was built from. *)

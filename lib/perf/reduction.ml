@@ -4,23 +4,15 @@
    its input *physically unchanged*, so a run in which no stage fires is
    bit-identical to not having the pipeline at all. *)
 
-type config = { lump : bool; prune : bool }
-
-let default = { lump = true; prune = true }
-let none = { lump = false; prune = false }
-let enabled c = c.lump || c.prune
-
 type stats = {
   states_before : int;
   states_after : int;
   pruned_states : int;
   lumped : bool;
-  no_op : bool;
 }
 
 type t = {
   reduced : Reduced.t;
-  config : config;
   mrm : Markov.Mrm.t;
   map : int array;
   goal : bool array;
@@ -117,56 +109,37 @@ let record_run telemetry stats =
   Telemetry.add telemetry "reduction.pruned_states" stats.pruned_states;
   Telemetry.add telemetry "reduction.lumped" (if stats.lumped then 1 else 0)
 
-let identity config (red : Reduced.t) =
-  let n = Markov.Mrm.n_states red.Reduced.mrm in
-  { reduced = red;
-    config;
-    mrm = red.Reduced.mrm;
-    map = Array.init n Fun.id;
-    goal = red.Reduced.goal;
-    stats =
-      { states_before = n; states_after = n; pruned_states = 0;
-        lumped = false; no_op = true } }
-
-let prepare_on ?(config = default) ?telemetry (red : Reduced.t) =
-  if (not (enabled config)) || Markov.Mrm.has_impulses red.Reduced.mrm then
-    identity config red
+let prepare_on ?telemetry (red : Reduced.t) =
+  let states_before = Markov.Mrm.n_states red.Reduced.mrm in
+  let identity = Array.init states_before Fun.id in
+  if Markov.Mrm.has_impulses red.Reduced.mrm then
+    { reduced = red; mrm = red.Reduced.mrm; map = identity;
+      goal = red.Reduced.goal;
+      stats =
+        { states_before; states_after = states_before; pruned_states = 0;
+          lumped = false } }
   else
     Telemetry.with_span telemetry "reduction.prepare" @@ fun () ->
-    let states_before = Markov.Mrm.n_states red.Reduced.mrm in
-    let mrm = ref red.Reduced.mrm in
-    let map = ref (Array.init states_before Fun.id) in
-    let goal = ref red.Reduced.goal in
-    let pruned = ref 0 in
-    if config.prune then begin
-      match merge_goal_unreachable !mrm ~goal:!goal with
-      | None -> ()
-      | Some (merged, stage_map, goal', dropped) ->
-        mrm := merged;
-        goal := goal';
-        pruned := dropped;
-        map := Array.map (fun s -> stage_map.(s)) !map
-    end;
-    let lumped = ref false in
-    if config.lump then begin
-      match lump_quotient !mrm ~goal:!goal with
-      | None -> ()
-      | Some (quotient, block_of_state, goal') ->
-        mrm := quotient;
-        goal := goal';
-        lumped := true;
-        map := Array.map (fun s -> block_of_state.(s)) !map
-    end;
-    let states_after = Markov.Mrm.n_states !mrm in
+    let mrm, map, goal, pruned_states =
+      match merge_goal_unreachable red.Reduced.mrm ~goal:red.Reduced.goal with
+      | None -> (red.Reduced.mrm, identity, red.Reduced.goal, 0)
+      | Some stage -> stage
+    in
+    let mrm, map, goal, lumped =
+      match lump_quotient mrm ~goal with
+      | None -> (mrm, map, goal, false)
+      | Some (quotient, block_of_state, goal) ->
+        (quotient, Array.map (fun s -> block_of_state.(s)) map, goal, true)
+    in
     let stats =
-      { states_before; states_after; pruned_states = !pruned;
-        lumped = !lumped; no_op = (not !lumped) && !pruned = 0 }
+      { states_before; states_after = Markov.Mrm.n_states mrm; pruned_states;
+        lumped }
     in
     record_run telemetry stats;
-    { reduced = red; config; mrm = !mrm; map = !map; goal = !goal; stats }
+    { reduced = red; mrm; map; goal; stats }
 
-let prepare ?config ?telemetry m ~phi ~psi =
-  prepare_on ?config ?telemetry (Reduced.reduce m ~phi ~psi)
+let prepare ?telemetry m ~phi ~psi =
+  prepare_on ?telemetry (Reduced.reduce m ~phi ~psi)
 
 (* ------------------------------------------------------------------ *)
 (* Per-problem init pruning: drop states unreachable from the support
@@ -225,65 +198,6 @@ let restrict_to_reachable ?telemetry (p : Problem.t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Problem-level pipeline for Engine.solve.                            *)
-
-let apply ?telemetry config (p : Problem.t) =
-  if (not (enabled config)) || Markov.Mrm.has_impulses p.Problem.mrm then p
-  else
-    Telemetry.with_span telemetry "reduction.apply" @@ fun () ->
-    let states_before = Markov.Mrm.n_states p.Problem.mrm in
-    let pruned = ref 0 in
-    let p =
-      if not config.prune then p
-      else begin
-        let p =
-          match merge_goal_unreachable p.Problem.mrm ~goal:p.Problem.goal with
-          | None -> p
-          | Some (merged, map, goal, dropped) ->
-            pruned := dropped;
-            let init = Linalg.Vec.create (Markov.Mrm.n_states merged) in
-            Linalg.Vec.iteri
-              (fun s mass ->
-                let m = map.(s) in
-                init.{m} <- init.{m} +. mass)
-              p.Problem.init;
-            Problem.make merged ~init ~goal ~time_bound:p.Problem.time_bound
-              ~reward_bound:p.Problem.reward_bound
-        in
-        let before = Markov.Mrm.n_states p.Problem.mrm in
-        let p, _ = restrict_to_reachable ?telemetry p in
-        pruned := !pruned + (before - Markov.Mrm.n_states p.Problem.mrm);
-        p
-      end
-    in
-    let p, lumped =
-      if not config.lump then (p, false)
-      else
-        match lump_quotient p.Problem.mrm ~goal:p.Problem.goal with
-        | None -> (p, false)
-        | Some (quotient, block_of_state, goal) ->
-          let init = Linalg.Vec.create (Markov.Mrm.n_states quotient) in
-          Linalg.Vec.iteri
-            (fun s mass ->
-              let b = block_of_state.(s) in
-              init.{b} <- init.{b} +. mass)
-            p.Problem.init;
-          ( Problem.make quotient ~init ~goal
-              ~time_bound:p.Problem.time_bound
-              ~reward_bound:p.Problem.reward_bound,
-            true )
-    in
-    let stats =
-      { states_before;
-        states_after = Markov.Mrm.n_states p.Problem.mrm;
-        pruned_states = !pruned;
-        lumped;
-        no_op = (not lumped) && !pruned = 0 }
-    in
-    record_run telemetry stats;
-    p
-
-(* ------------------------------------------------------------------ *)
 (* Until probabilities over a prepared pipeline.                       *)
 
 type rows_solver = Problem.t -> rows:int array -> float array
@@ -292,11 +206,9 @@ type rows_solver = Problem.t -> rows:int array -> float array
    reachable from them.  Two states share that set exactly when they lie
    in one strongly connected component, so the groups are the components
    the targets fall in, each listed in ascending state order; groups come
-   in the order of their smallest target.  Without init pruning every
-   solve runs on the whole pipeline model: one group. *)
+   in the order of their smallest target. *)
 let reachable_set_groups r targets =
   if Array.length targets = 0 then [||]
-  else if not r.config.prune then [| targets |]
   else begin
     let scc = Graph.Scc.compute (Markov.Ctmc.graph (Markov.Mrm.ctmc r.mrm)) in
     let members = Array.make scc.Graph.Scc.count [] in
@@ -342,10 +254,7 @@ let until_rows_on r ?(pool = Parallel.Pool.sequential) ?telemetry
           Problem.of_initial_state r.mrm ~init:group.(0) ~goal:r.goal
             ~time_bound ~reward_bound
         in
-        let problem, reindex =
-          if r.config.prune then restrict_to_reachable ?telemetry problem
-          else (problem, Fun.id)
-        in
+        let problem, reindex = restrict_to_reachable ?telemetry problem in
         let values = solve_rows problem ~rows:(Array.map reindex group) in
         Array.iteri (fun j b -> solutions.{b} <- values.(j)) group
       done);

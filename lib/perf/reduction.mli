@@ -25,39 +25,22 @@
       initial distribution — CSRL checking commutes with the quotient,
       and block values map back with {!Markov.Lumping.lower}.
 
-    Transparency and opt-out: every stage that does not fire returns its
-    input {e physically unchanged}, so on models with no symmetry and no
-    unreachable mass the pipeline is a strict no-op and answers are
-    bit-identical to the unreduced solve.  {!none} (the CLI's
-    [--no-reduce]) disables all stages; a [?telemetry] recorder receives
-    [reduction.*] counters and a [reduction.prepare]/[reduction.apply]
-    span. *)
-
-type config = {
-  lump : bool;   (** ordinary-lumpability quotient *)
-  prune : bool;  (** goal-unreachable merge + init-reachability pruning *)
-}
-
-val default : config
-(** Both stages on. *)
-
-val none : config
-(** All stages off: the pipeline is the identity. *)
-
-val enabled : config -> bool
-(** Whether any stage is on. *)
+    Transparency: the pipeline has no switch.  Every stage that does not
+    fire returns its input {e physically unchanged}, so on models with no
+    symmetry and no unreachable mass it is a strict no-op and answers are
+    bit-identical to the unreduced solve; which stages run is decided
+    from the input alone.  A [?telemetry] recorder receives
+    [reduction.*] counters and a [reduction.prepare] span. *)
 
 type stats = {
   states_before : int;  (** model size entering the pipeline *)
   states_after : int;   (** model size all engines will see *)
   pruned_states : int;  (** states removed by the goal-unreachable merge *)
   lumped : bool;        (** whether the quotient fired *)
-  no_op : bool;         (** no stage fired: the model is the input, untouched *)
 }
 
 type t = private {
   reduced : Reduced.t;  (** the Theorem 1 reduction this pipeline extends *)
-  config : config;
   mrm : Markov.Mrm.t;   (** the model the engines solve *)
   map : int array;      (** reduced-space state -> pipeline state *)
   goal : bool array;    (** goal set in pipeline space *)
@@ -65,24 +48,16 @@ type t = private {
 }
 
 val prepare :
-  ?config:config -> ?telemetry:Telemetry.t -> Markov.Mrm.t ->
-  phi:bool array -> psi:bool array -> t
-(** {!Reduced.reduce} followed by {!prepare_on}. *)
+  ?telemetry:Telemetry.t -> Markov.Mrm.t -> phi:bool array ->
+  psi:bool array -> t
+(** {!Reduced.reduce} followed by {!prepare_on}: the one entry point of
+    the pipeline (the batch cache stores its result per mask pair). *)
 
-val prepare_on : ?config:config -> ?telemetry:Telemetry.t -> Reduced.t -> t
-(** Build the pipeline on an existing Theorem 1 reduction (the batch
-    cache shares the [Reduced.t] across configs and bounds).  Models
-    with impulse rewards pass through untouched: the quotient cannot
+val prepare_on : ?telemetry:Telemetry.t -> Reduced.t -> t
+(** Build the pipeline on an existing Theorem 1 reduction.  Models with
+    impulse rewards pass through untouched: the quotient cannot
     represent per-transition impulses and the pruning stages are not
     worth a rebuilt impulse matrix. *)
-
-val apply : ?telemetry:Telemetry.t -> config -> Problem.t -> Problem.t
-(** Problem-level pipeline for direct {!Engine.solve} callers: the
-    goal-unreachable merge, then init pruning from the problem's own
-    initial distribution, then the quotient with the initial
-    distribution lifted ({!Markov.Lumping.lift}) and the scalar answer
-    unchanged.  Returns the problem {e physically unchanged} when no
-    stage fires. *)
 
 type rows_solver = Problem.t -> rows:int array -> float array
 (** [solve p ~rows] answers [p]'s question from the point mass at each
@@ -99,9 +74,8 @@ val until_rows_on :
     symmetric models need far fewer than there are states) are grouped
     by the set of states reachable from them, which is shared exactly by
     the states of one strongly connected component.  Each group's problem
-    is restricted to that set once (init pruning, when the config prunes;
-    without pruning all targets form one group on the whole pipeline
-    model), and [solve] answers all of the group's states in one call.
+    is restricted to that set once (init pruning), and [solve] answers
+    all of the group's states in one call.
     Groups are dispatched across [pool] with a cutoff of one; each
     dispatched solve sees a busy pool and runs its kernels inline, so
     answers are bit-identical for every pool size.  [phi] and [psi] must

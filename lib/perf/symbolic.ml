@@ -26,16 +26,15 @@ let create succ =
   { succ; space = Explore.Space.create succ; memo = Hashtbl.create 16;
     explicit_twin = None }
 
-let succ_model t = t.succ
 let space t = t.space
 let n_states t = Explore.Space.n_states t.space
 let memo_size t = Hashtbl.length t.memo
 
-let materialise ?limit t =
+let materialise ~limit t =
   match t.explicit_twin with
   | Some twin -> Ok twin
   | None -> (
-    match Explore.Materialise.materialise ?limit t.space with
+    match Explore.Materialise.materialise ~limit t.space with
     | Ok twin ->
       t.explicit_twin <- Some twin;
       Ok twin

@@ -54,7 +54,6 @@ val create : Explore.Succ.t -> t
 (** A fresh handle with an empty space (initial state interned) and an
     empty memo. *)
 
-val succ_model : t -> Explore.Succ.t
 val space : t -> Explore.Space.t
 
 val n_states : t -> int
@@ -78,8 +77,3 @@ val eval :
     queries outside the fragment, {!Markov.Labeling.Unknown_proposition}
     for unknown atoms, and {!Lang.Gcm.Runtime_error}-style exceptions
     propagate from the model's own closures. *)
-
-val materialise :
-  ?limit:int -> t -> (Markov.Mrm.t * Markov.Labeling.t * int, int) result
-(** Explore to closure and build the explicit twin (cached after the
-    first success); see {!Explore.Materialise}. *)

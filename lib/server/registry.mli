@@ -5,7 +5,7 @@
     point-valued or interval model with everything that makes repeat
     queries cheap: a prepared {!Checker.t} and a {!Checker.memo} holding the
     hash-consed Sat-set and path-probability tables plus the
-    {!Perf.Batch} reduction and Theorem 1 caches.  A {e symbolic} entry
+    {!Perf.Batch} cache of Theorem 1 pipelines.  A {e symbolic} entry
     wraps a [.gcm] guarded-command program as a {!Perf.Symbolic.t},
     whose warm state is the interned state space and the per-query
     result memo — states discovered by one query are never re-discovered
@@ -60,8 +60,8 @@ val create :
   make_robust_ctx:(Robust.Imrm.t -> Markov.Labeling.t -> Checker.t) ->
   unit -> t
 (** [make_ctx] prepares the checking context for every loaded explicit
-    model — the server closes it over its engine, epsilon, reduction
-    config, pool and telemetry; [make_robust_ctx] does the same for
+    model — the server closes it over its engine, epsilon, pool and
+    telemetry; [make_robust_ctx] does the same for
     interval-valued entries ({!Checker.make_robust}).  Symbolic entries
     use neither. *)
 

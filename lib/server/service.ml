@@ -1,7 +1,6 @@
 type config = {
   engine : Perf.Engine.spec;
   epsilon : float;
-  reduction : Perf.Reduction.config;
   pool : Parallel.Pool.t;
   queue_bound : int;
   executors : int;
@@ -13,7 +12,6 @@ type config = {
 let default_config ?(clock = Unix.gettimeofday) () =
   { engine = Perf.Engine.default;
     epsilon = 1e-9;
-    reduction = Perf.Reduction.default;
     pool = Parallel.Pool.sequential;
     queue_bound = 64;
     executors = 1;
@@ -383,9 +381,8 @@ let run_request t ~admitted ~id request =
     let eval x =
       (* The bound on the chosen variable in the query text is a
          placeholder: each probe re-solves with that bound set to [x].
-         The reduction and Theorem 1 caches are keyed by the Sat-sets
-         only, so every iteration after the first reuses the prepared
-         pipeline. *)
+         The pipeline cache is keyed by the Sat-sets only, so every
+         iteration after the first reuses the prepared pipeline. *)
       let time, reward =
         match variable with
         | Protocol.Time -> (Numerics.Time_interval.upto x, reward)
@@ -624,13 +621,11 @@ let create config =
     invalid_arg "Service.create: executors must be >= 1";
   let make_ctx mrm labeling =
     Checker.make ~engine:config.engine ~epsilon:config.epsilon
-      ~pool:config.pool ?telemetry:config.telemetry
-      ~reduction:config.reduction mrm labeling
+      ~pool:config.pool ?telemetry:config.telemetry mrm labeling
   in
   let make_robust_ctx imrm labeling =
     Checker.make_robust ~engine:config.engine ~epsilon:config.epsilon
-      ~pool:config.pool ?telemetry:config.telemetry
-      ~reduction:config.reduction imrm labeling
+      ~pool:config.pool ?telemetry:config.telemetry imrm labeling
   in
   { config;
     reg = Registry.create ~make_ctx ~make_robust_ctx ();

@@ -49,7 +49,6 @@
 type config = {
   engine : Perf.Engine.spec;
   epsilon : float;
-  reduction : Perf.Reduction.config;
   pool : Parallel.Pool.t;
   queue_bound : int;          (** admission queue capacity, [>= 1] *)
   executors : int;
@@ -63,10 +62,9 @@ type config = {
 }
 
 val default_config : ?clock:(unit -> float) -> unit -> config
-(** Occupation-time engine at [epsilon = 1e-9], default reduction,
-    sequential pool, queue bound [64], one executor, no default
-    deadline, no telemetry, [Unix.gettimeofday] (override with a
-    monotonic clock). *)
+(** Occupation-time engine at [epsilon = 1e-9], sequential pool, queue
+    bound [64], one executor, no default deadline, no telemetry,
+    [Unix.gettimeofday] (override with a monotonic clock). *)
 
 type t
 

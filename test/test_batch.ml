@@ -56,6 +56,9 @@ let query_pool =
     "P=? ( a U[t<=2][r<=2] b )";
     "P=? ( a U[t<=1][r<=3] b )";
     "P=? ( (a | b) U[t<=1.5][r<=2] c )";
+    (* The masks and bounds above under another path formula: its own
+       path value, solved again over the shared pipeline. *)
+    "P=? ( (b | a) U[t<=1.5][r<=2] c )";
     "P>=0.1 ( a U[t<=2][r<=3] b )";
     "P>=0.5 ( a U[t<=2][r<=3] b )";
     "P>=0.9 ( a U[t<=2][r<=3] b )";

@@ -2,9 +2,9 @@
    primitive and divide-and-conquer sweep, and Batch.Frontier's
    end-to-end runs.  The defining invariant is differential: every
    emitted staircase point must be bit-identical to a cold single-query
-   [Checker.eval_query] solve of the same (t, r) bounds — with and
-   without a domain pool, with and without the reduction pipeline.  On
-   top of that, qcheck properties pin the monotonicity assumptions the
+   [Checker.eval_query] solve of the same (t, r) bounds, with and
+   without a domain pool, and to the unreduced Theorem 1 solve.  On top
+   of that, qcheck properties pin the monotonicity assumptions the
    sweep's brackets rely on, the staircase shape, and byte-identical
    warm-memo reruns with coherent cache counters. *)
 
@@ -116,9 +116,9 @@ let uniform_init n = Linalg.Vec.init n (fun _ -> 1.0 /. float_of_int n)
 (* One cold probe: a fresh context with the same configuration, no memo,
    cleared process-wide Fox-Glynn windows — the same solve a standalone
    csrl-check invocation would perform. *)
-let cold_point ?pool ?reduction m labeling ~init ~path ~t ~r =
+let cold_point ?pool m labeling ~init ~path ~t ~r =
   Numerics.Fox_glynn.cache_clear ();
-  let ctx = Checker.make ?pool ?reduction m labeling in
+  let ctx = Checker.make ?pool m labeling in
   let phi, psi =
     match path with
     | Logic.Ast.Until (_, _, phi, psi) -> (phi, psi)
@@ -133,7 +133,7 @@ let cold_point ?pool ?reduction m labeling ~init ~path ~t ~r =
   | Checker.Numeric values -> Linalg.Vec.dot init values
   | _ -> Alcotest.fail "numeric verdict expected"
 
-let differential_on ?pool ?reduction what m labeling =
+let differential_on ?pool what m labeling =
   let query = Logic.Parser.query frontier_text in
   let path =
     match query with
@@ -141,14 +141,14 @@ let differential_on ?pool ?reduction what m labeling =
     | _ -> Alcotest.fail "not a frontier query"
   in
   let init = uniform_init (Markov.Mrm.n_states m) in
-  let ctx = Checker.make ?pool ?reduction m labeling in
+  let ctx = Checker.make ?pool m labeling in
   let memo = Checker.create_memo () in
   let result = Batch.Frontier.run ~memo ~tolerance:1e-4 ctx ~init query in
   List.iter
     (fun (p : Batch.Frontier.point) ->
       let cold =
-        cold_point ?pool ?reduction m labeling ~init ~path
-          ~t:p.Batch.Frontier.t ~r:p.Batch.Frontier.r
+        cold_point ?pool m labeling ~init ~path ~t:p.Batch.Frontier.t
+          ~r:p.Batch.Frontier.r
       in
       if bits p.Batch.Frontier.probability <> bits cold then
         Alcotest.failf
@@ -156,30 +156,48 @@ let differential_on ?pool ?reduction what m labeling =
           p.Batch.Frontier.t p.Batch.Frontier.r p.Batch.Frontier.probability
           cold)
     result.Batch.Frontier.points;
-  if reduction = None then begin
-    (* The warm sweep prepares the reduction pipeline once, and its
-       shared brackets take fewer solves than one cold bisection per
-       grid row. *)
-    let reduction_memo = List.assoc "reduction" (Checker.memo_counters memo) in
-    Alcotest.(check int) (what ^ ": reduction prepared once") 1
-      reduction_memo.Numerics.Memo.misses;
-    let { Batch.Frontier.target; time_bound; reward_bound; grid; tolerance; _ }
-      =
-      result
-    in
-    let cold_evaluations =
-      List.fold_left ( + ) 0
-        (List.init grid (fun i ->
-             let t = time_bound *. float_of_int (i + 1) /. float_of_int grid in
-             let eval r = cold_point ?pool m labeling ~init ~path ~t ~r in
-             (Perf.Frontier.probe ~eval ~target ~hi:reward_bound ~tolerance)
-               .Perf.Frontier.evaluations))
-    in
-    if result.Batch.Frontier.evaluations >= cold_evaluations then
-      Alcotest.failf "%s: sweep made %d evaluations, cold bisections %d" what
-        result.Batch.Frontier.evaluations cold_evaluations
-  end;
+  (* The warm sweep prepares the reduction pipeline once, and its shared
+     brackets take fewer solves than one cold bisection per grid row. *)
+  let reduction_memo = List.assoc "reduction" (Checker.memo_counters memo) in
+  Alcotest.(check int) (what ^ ": reduction prepared once") 1
+    reduction_memo.Numerics.Memo.misses;
+  let { Batch.Frontier.target; time_bound; reward_bound; grid; tolerance; _ } =
+    result
+  in
+  let cold_evaluations =
+    List.fold_left ( + ) 0
+      (List.init grid (fun i ->
+           let t = time_bound *. float_of_int (i + 1) /. float_of_int grid in
+           let eval r = cold_point ?pool m labeling ~init ~path ~t ~r in
+           (Perf.Frontier.probe ~eval ~target ~hi:reward_bound ~tolerance)
+             .Perf.Frontier.evaluations))
+  in
+  if result.Batch.Frontier.evaluations >= cold_evaluations then
+    Alcotest.failf "%s: sweep made %d evaluations, cold bisections %d" what
+      result.Batch.Frontier.evaluations cold_evaluations;
   result
+
+(* The reduction pipeline must not change what the sweep emits: every
+   point is bit-identical to the unreduced Theorem 1 solve at its
+   bounds. *)
+let check_unreduced m labeling (result : Batch.Frontier.result) =
+  let init = uniform_init (Markov.Mrm.n_states m) in
+  let phi = Markov.Labeling.sat labeling "a"
+  and psi = Markov.Labeling.sat labeling "b" in
+  let solve = Perf.Engine.solve Perf.Engine.default in
+  List.iter
+    (fun (p : Batch.Frontier.point) ->
+      let unreduced =
+        Linalg.Vec.dot init
+          (Perf.Reduced.until_probabilities_via solve m ~phi ~psi
+             ~time_bound:p.Batch.Frontier.t ~reward_bound:p.Batch.Frontier.r)
+      in
+      if bits p.Batch.Frontier.probability <> bits unreduced then
+        Alcotest.failf
+          "point (t=%.17g, r=%.17g): sweep %.17g != unreduced %.17g"
+          p.Batch.Frontier.t p.Batch.Frontier.r p.Batch.Frontier.probability
+          unreduced)
+    result.Batch.Frontier.points
 
 let test_differential () =
   (* Seeds chosen so the battery exercises non-trivial staircases; the
@@ -191,26 +209,9 @@ let test_differential () =
       let m, labeling =
         Models.Random_mrm.generate_labeled ~seed Models.Random_mrm.default
       in
-      let plain = differential_on "sequential/reduced" m labeling in
+      let plain = differential_on "sequential" m labeling in
       emitted := !emitted + List.length plain.Batch.Frontier.points;
-      let no_reduce =
-        differential_on ~reduction:Perf.Reduction.none "no-reduce" m labeling
-      in
-      (* The reduction pipeline must not change what the sweep emits:
-         same staircase coordinates, same probabilities, bit for bit. *)
-      if
-        List.length plain.Batch.Frontier.points
-        <> List.length no_reduce.Batch.Frontier.points
-      then Alcotest.fail "reduction changed the staircase size";
-      List.iter2
-        (fun (a : Batch.Frontier.point) (b : Batch.Frontier.point) ->
-          if
-            bits a.Batch.Frontier.t <> bits b.Batch.Frontier.t
-            || bits a.Batch.Frontier.r <> bits b.Batch.Frontier.r
-            || bits a.Batch.Frontier.probability
-               <> bits b.Batch.Frontier.probability
-          then Alcotest.fail "reduction changed a staircase point")
-        plain.Batch.Frontier.points no_reduce.Batch.Frontier.points;
+      check_unreduced m labeling plain;
       Parallel.Pool.with_pool ~jobs:3 (fun pool ->
           let pooled = differential_on ~pool "pool" m labeling in
           List.iter2
@@ -218,10 +219,7 @@ let test_differential () =
               if bits a.Batch.Frontier.probability
                  <> bits b.Batch.Frontier.probability
               then Alcotest.fail "pool changed a staircase point")
-            plain.Batch.Frontier.points pooled.Batch.Frontier.points;
-          ignore
-            (differential_on ~pool ~reduction:Perf.Reduction.none
-               "pool/no-reduce" m labeling)))
+            plain.Batch.Frontier.points pooled.Batch.Frontier.points))
     [ 3L; 7L; 11L; 19L ];
   if !emitted = 0 then
     Alcotest.fail "no staircase point emitted across any battery seed"

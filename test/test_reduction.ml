@@ -29,9 +29,9 @@ let counter tel name = Option.value ~default:0 (Telemetry.counter tel name)
 
 (* The pipeline's per-state answers: prepare once, then one scalar solve
    per row of each reachable-set group. *)
-let through_pipeline ?config ?telemetry ?pool solve m ~phi ~psi ~time_bound
+let through_pipeline ?telemetry ?pool solve m ~phi ~psi ~time_bound
     ~reward_bound =
-  let r = Perf.Reduction.prepare ?config ?telemetry m ~phi ~psi in
+  let r = Perf.Reduction.prepare ?telemetry m ~phi ~psi in
   Perf.Reduction.until_probabilities_on r ?pool ?telemetry solve ~phi ~psi
     ~time_bound ~reward_bound
 
@@ -277,85 +277,99 @@ let test_symmetric_answers_match () =
           piped.{s})
     (Linalg.Vec.to_array baseline)
 
-(* The tracked multiprocessor collapses onto the birth-death chain: the
-   engine-level pipeline must give the pooled model's answer.  Nine
-   processors are 2^9 = 512 tracked states lumped to 10 blocks. *)
+let popcount s =
+  let rec go s acc = if s = 0 then acc else go (s lsr 1) (acc + (s land 1)) in
+  go s 0
+
+(* The unreduced Theorem 1 answer of every state from one recursion.
+   [Engine.solve_rows] is per-row [Engine.solve] bit for bit, so this is
+   [Reduced.until_probabilities_via]'s vector without its one solve per
+   state: 511 solves on the 9-processor model, about 100 s on a 2-core
+   host. *)
+let unreduced_rows spec m ~phi ~psi ~time_bound ~reward_bound =
+  let red = Perf.Reduced.reduce m ~phi ~psi in
+  let n = Markov.Mrm.n_states red.Perf.Reduced.mrm in
+  let p =
+    Perf.Problem.of_initial_state red.Perf.Reduced.mrm ~init:0
+      ~goal:red.Perf.Reduced.goal ~time_bound ~reward_bound
+  in
+  let values = Perf.Engine.solve_rows spec p ~rows:(Array.init n Fun.id) in
+  Linalg.Vec.init (Array.length phi) (fun s ->
+      if psi.(s) then 1.0
+      else if not phi.(s) then 0.0
+      else values.(red.Perf.Reduced.state_map.(s)))
+
+(* The tracked multiprocessor collapses onto the birth-death chain:
+   [up U down] through the pipeline must give the unreduced answer and,
+   per count of operational processors, the pooled model's.  Theorem 1
+   leaves 2^n + 1 states (GOAL and an unreachable FAIL), which lump to
+   one block per count plus GOAL and FAIL. *)
 let test_tracked_multiprocessor_collapses () =
+  let up_down labeling =
+    (Markov.Labeling.sat labeling "up", Markov.Labeling.sat labeling "down")
+  in
+  let time_bound = 100.0 and reward_bound = 250.0 in
+  let spec = Perf.Engine.Occupation_time { epsilon = 1e-12 } in
+  let solve = Perf.Engine.solve spec in
   List.iter
     (fun n ->
       let c = { Models.Multiprocessor.default with n_processors = n } in
-      let t = 100.0 and r = 250.0 in
-      let tracked = Models.Multiprocessor.tracked_performability c ~t ~r in
-      let pooled = Models.Multiprocessor.performability c ~t ~r in
-      let spec = Perf.Engine.Occupation_time { epsilon = 1e-12 } in
+      let m = Models.Multiprocessor.tracked_mrm c in
+      let phi, psi = up_down (Models.Multiprocessor.tracked_labeling c) in
       let tel = Telemetry.create () in
-      let reduced_answer =
-        Perf.Engine.solve ~telemetry:tel ~reduction:Perf.Reduction.default spec
-          tracked
+      let piped =
+        through_pipeline ~telemetry:tel solve m ~phi ~psi ~time_bound
+          ~reward_bound
       in
-      let full_answer = Perf.Engine.solve spec tracked in
-      let pooled_answer = Perf.Engine.solve spec pooled in
-      Alcotest.(check int) "tracked size" (1 lsl n)
+      let full =
+        unreduced_rows spec m ~phi ~psi ~time_bound ~reward_bound
+      in
+      if n = 5 then
+        Alcotest.(check bool) "rows oracle is until_probabilities_via" true
+          (full
+          = Perf.Reduced.until_probabilities_via solve m ~phi ~psi
+              ~time_bound ~reward_bound);
+      let pooled =
+        let phi, psi = up_down (Models.Multiprocessor.labeling c) in
+        Perf.Reduced.until_probabilities_via solve
+          (Models.Multiprocessor.mrm c) ~phi ~psi ~time_bound ~reward_bound
+      in
+      Alcotest.(check int) "tracked size" ((1 lsl n) + 1)
         (counter tel "reduction.states_before");
-      Alcotest.(check int) "quotient size" (n + 1)
+      Alcotest.(check int) "quotient size" (n + 2)
         (counter tel "reduction.states_after");
-      if Float.abs (reduced_answer -. full_answer) > 1e-12 then
-        Alcotest.failf "n = %d: reduced %.17g vs full %.17g" n reduced_answer
-          full_answer;
-      if Float.abs (reduced_answer -. pooled_answer) > 1e-10 then
-        Alcotest.failf "n = %d: reduced %.17g vs pooled model %.17g" n
-          reduced_answer pooled_answer)
+      Linalg.Vec.iteri
+        (fun s v ->
+          if Float.abs (v -. full.{s}) > 1e-12 then
+            Alcotest.failf "n = %d state %d: reduced %.17g vs full %.17g" n s
+              v full.{s};
+          let p = pooled.{popcount s} in
+          if Float.abs (v -. p) > 1e-10 then
+            Alcotest.failf "n = %d state %d: reduced %.17g vs pooled %.17g" n
+              s v p)
+        piped)
     [ 5; 9 ]
 
-(* Opt-out: config none must leave everything untouched, bit for bit. *)
-let test_opt_out_is_identity () =
-  let seed = 0xF00DL in
-  let m, labeling =
-    Models.Random_mrm.generate_labeled ~seed Models.Random_mrm.default
-  in
-  let phi, psi = masks labeling in
-  let time_bound, reward_bound = bounds ~seed m in
+(* The asymmetric control: no stage fires on the ad hoc Q3 problem, so
+   the pipeline runs, changes nothing and answers bit-identically. *)
+let test_nothing_fired_is_identity () =
+  let m = Models.Adhoc.mrm () in
+  let sat = Markov.Labeling.sat (Models.Adhoc.labeling ()) in
+  let phi = Array.map2 ( || ) (sat "call_idle") (sat "doze") in
+  let psi = sat "call_initiated" in
   let solve = Perf.Engine.solve Perf.Engine.default in
-  let baseline =
-    Perf.Reduced.until_probabilities_via solve m ~phi ~psi ~time_bound
-      ~reward_bound
-  in
-  let tel = Telemetry.create () in
-  let off =
-    through_pipeline ~config:Perf.Reduction.none ~telemetry:tel solve m ~phi
-      ~psi ~time_bound ~reward_bound
-  in
-  Alcotest.(check bool) "bit-identical" true (off = baseline);
-  Alcotest.(check int) "no runs recorded" 0 (counter tel "reduction.runs");
-  (* And the problem-level pipeline returns the problem itself. *)
-  let p = Models.Multiprocessor.tracked_performability
-      { Models.Multiprocessor.default with n_processors = 3 } ~t:10.0 ~r:20.0
-  in
-  Alcotest.(check bool) "apply none is physical identity" true
-    (Perf.Reduction.apply Perf.Reduction.none p == p);
-  (* The asymmetric control: under the default config no stage fires on
-     the ad hoc Q3 problem, so the pipeline opts out by itself and the
-     answer stays bit-identical. *)
-  let q3 =
-    let m = Models.Adhoc.mrm () in
-    let sat = Markov.Labeling.sat (Models.Adhoc.labeling ()) in
-    let phi = Array.map2 ( || ) (sat "call_idle") (sat "doze") in
-    Perf.Reduced.problem
-      (Perf.Reduced.reduce m ~phi ~psi:(sat "call_initiated"))
-      ~init:(Linalg.Vec.unit 9 Models.Adhoc.initial_state)
-      ~time_bound:24.0 ~reward_bound:600.0
-  in
   let tel = Telemetry.create () in
   let piped =
-    Perf.Engine.solve ~telemetry:tel ~reduction:Perf.Reduction.default
-      Perf.Engine.default q3
+    through_pipeline ~telemetry:tel solve m ~phi ~psi ~time_bound:24.0
+      ~reward_bound:600.0
   in
   Alcotest.(check int) "ad hoc Q3: pipeline ran" 1
     (counter tel "reduction.runs");
   Alcotest.(check bool) "ad hoc Q3: nothing fired" true (nothing_fired tel);
-  Alcotest.(check int64) "ad hoc Q3: bit-identical"
-    (Int64.bits_of_float (Perf.Engine.solve Perf.Engine.default q3))
-    (Int64.bits_of_float piped)
+  Alcotest.(check bool) "ad hoc Q3: bit-identical" true
+    (piped
+    = Perf.Reduced.until_probabilities_via solve m ~phi ~psi ~time_bound:24.0
+        ~reward_bound:600.0)
 
 (* ---------------- golden per-state answers ------------------------ *)
 
@@ -531,12 +545,8 @@ let test_golden_dual () =
    lumping signatures were rewritten: the kernel's width-n path
    (joint_matrix), its multi-bound series (solve_many), a steady-state
    sum over several bottom components (their numbering orders it), an
-   unbounded until (prob0/prob1 reachability) and the problem-level
-   pipeline with the merge, init pruning and the quotient all firing. *)
-
-let popcount s =
-  let rec go s acc = if s = 0 then acc else go (s lsr 1) (acc + (s land 1)) in
-  go s 0
+   unbounded until (prob0/prob1 reachability) and the pipeline with the
+   merge, init pruning and the quotient all firing. *)
 
 let test_golden_paths () =
   let hex = Printf.sprintf "%h" in
@@ -583,10 +593,10 @@ let test_golden_paths () =
     [ "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x1p+0"; "0x1.965f7020c8d9cp-3";
       "0x1.6b336d5be09cp-1"; "0x0p+0"; "0x1p+0"; "0x0p+0" ];
   (* Seven tracked processors, Phi = popcount in {2, 4, 5, 7}, Psi =
-     popcount 3, from a five-processor state: the all-up state can reach
-     Psi only through FAIL (the merge fires), the popcount-2 states are
-     unreachable from the start (init pruning fires), and the rest lumps
-     by popcount. *)
+     popcount 3, pinned at a five-processor state: the all-up state can
+     reach Psi only through FAIL (the merge fires), the rest lumps by
+     popcount, and no reachable-set group reaches every block (init
+     pruning fires). *)
   let c =
     { Models.Multiprocessor.n_processors = 7; failure_rate = 0.2;
       repair_rate = 1.0; capacity = 5; throughput_per_processor = 1.0 }
@@ -595,18 +605,15 @@ let test_golden_paths () =
   let n = Markov.Mrm.n_states m in
   let phi = Array.init n (fun s -> List.mem (popcount s) [ 2; 4; 5; 7 ]) in
   let psi = Array.init n (fun s -> popcount s = 3) in
-  let p =
-    Perf.Reduced.problem (Perf.Reduced.reduce m ~phi ~psi)
-      ~init:(Linalg.Vec.unit n 0b0011111) ~time_bound:2.0 ~reward_bound:8.0
-  in
   let tel = Telemetry.create () in
   let v =
-    Perf.Sericola.solve ~epsilon:1e-12
-      (Perf.Reduction.apply ~telemetry:tel Perf.Reduction.default p)
+    through_pipeline ~telemetry:tel (Perf.Sericola.solve ~epsilon:1e-12) m
+      ~phi ~psi ~time_bound:2.0 ~reward_bound:8.0
   in
-  Alcotest.(check string) "7-processor pipeline" "0x1.bfed9c29ffeb5p-3" (hex v);
+  Alcotest.(check string) "7-processor pipeline" "0x1.bfed9c29ffeb5p-3"
+    (hex v.{0b0011111});
   Alcotest.(check (list int)) "7-processor stages"
-    [ 80; 4; 22; 1; 21 ]
+    [ 80; 5; 1; 1; 7 ]
     (List.map (counter tel)
        [ "reduction.states_before"; "reduction.states_after";
          "reduction.pruned_states"; "reduction.lumped";
@@ -626,7 +633,8 @@ let suite =
         test_symmetric_answers_match;
       Alcotest.test_case "tracked multiprocessor collapses" `Quick
         test_tracked_multiprocessor_collapses;
-      Alcotest.test_case "opt-out is identity" `Quick test_opt_out_is_identity;
+      Alcotest.test_case "no-op pipeline is identity" `Quick
+        test_nothing_fired_is_identity;
       Alcotest.test_case "golden per-state answers" `Quick test_golden_answers;
       Alcotest.test_case "golden dual answers" `Quick test_golden_dual;
       Alcotest.test_case "golden kernel, graph and pipeline paths" `Quick
