@@ -158,11 +158,12 @@ let tcp_arg =
 
 let executors_arg =
   let doc =
-    "Run $(docv) executor domains (default 1).  Requests are sharded by \
-     model name — all requests on one model run on one executor in \
-     admission order against its warm caches — and each session's \
-     responses are emitted strictly in admission order, so transcripts \
-     are byte-identical at every executor count."
+    "Run $(docv) executor domains (default 1).  Each session's reader \
+     hands a request straight to the executor of its model — all \
+     requests on one model run on one executor in admission order \
+     against its warm caches — and each session's responses are emitted \
+     strictly in admission order, so transcripts are byte-identical at \
+     every executor count."
   in
   Arg.(value & opt (some string) None & info [ "executors" ] ~docv:"N" ~doc)
 
@@ -177,9 +178,10 @@ let jobs_arg =
 
 let queue_arg =
   let doc =
-    "Admission queue capacity (default 64).  When the queue is full new \
-     requests are rejected immediately with an $(b,overloaded) error \
-     instead of blocking the connection."
+    "Unanswered requests one session may have, and each executor's \
+     queue capacity (default 64).  A line past that bound is rejected \
+     immediately with an $(b,overloaded) error instead of blocking the \
+     connection."
   in
   Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
 

@@ -33,11 +33,19 @@ let push_control q x =
       Queue.push x q.items;
       Condition.signal q.nonempty)
 
+let wait_nonempty q =
+  while Queue.is_empty q.items do
+    Condition.wait q.nonempty q.lock
+  done
+
+let peek q =
+  Mutex.protect q.lock (fun () ->
+      wait_nonempty q;
+      Queue.peek q.items)
+
 let pop q =
   Mutex.protect q.lock (fun () ->
-      while Queue.is_empty q.items do
-        Condition.wait q.nonempty q.lock
-      done;
+      wait_nonempty q;
       let x = Queue.pop q.items in
       if Queue.length q.items < q.bound then Condition.signal q.nonfull;
       x)

@@ -1,16 +1,20 @@
-(** The bounded MPMC queue of the serving layer: between a session's
-    reader threads and the dispatcher (admission), and between the
-    dispatcher and each executor domain (shard queues).
+(** The bounded MPMC queue of the serving layer: each session's queue of
+    response slots, between its reader and its writer, and each
+    executor domain's shard queue, between the sessions' readers and
+    that domain.
 
-    The reader admits work with {!try_push}, which refuses instead of
-    blocking when the queue is full — the server turns a refusal into a
-    structured [overloaded] rejection, so a flooded daemon sheds load
-    instead of buffering unboundedly or stalling the transport.  The
-    dispatcher forwards work to a shard with {!push_wait}, which blocks
-    while the shard is full — backpressure there must stall dispatch,
-    not drop requests that were already admitted.  Control markers
-    (end-of-input, executor stop) use {!push_control}, which ignores the
-    bound: they carry no payload work and must never be dropped.
+    A reader admits a request into its session's slot queue with
+    {!try_push}, which refuses instead of blocking when the queue is
+    full — the server turns a refusal into a structured [overloaded]
+    rejection, so a flooded daemon sheds load instead of buffering
+    unboundedly or stalling the transport.  It then hands a model
+    request to its shard with {!push_wait}, which blocks while the
+    shard is full — backpressure there must stall the reader, not drop
+    a request that was already admitted.  The end-of-input and executor
+    stop markers use {!push_control}, which ignores the bound: they
+    carry no payload work and must never be dropped.  The writer reads
+    the head slot with {!peek} and removes it with {!pop} only once its
+    reply is written, so the bound counts every unanswered request.
 
     One lock, two conditions: the queue is strictly FIFO under any
     number of concurrent producers and consumers — each producer's own
@@ -31,6 +35,10 @@ val push_wait : 'a t -> 'a -> unit
 
 val push_control : 'a t -> 'a -> unit
 (** Enqueue unconditionally (control markers only). *)
+
+val peek : 'a t -> 'a
+(** The oldest item, left in the queue; blocks while the queue is
+    empty. *)
 
 val pop : 'a t -> 'a
 (** Dequeue the oldest item, blocking while the queue is empty. *)

@@ -26,8 +26,6 @@ let create ~shards ~queue_bound =
   let domains = Array.map (fun q -> Domain.spawn (worker q)) queues in
   { queues; domains; lock = Mutex.create (); stopped = false }
 
-let shards t = Array.length t.queues
-
 let submit t ~shard f =
   if shard < 0 || shard >= Array.length t.queues then
     invalid_arg "Executor.submit: shard out of range";

@@ -94,10 +94,10 @@ val kind_of : request -> string
     ["quantile"], ["frontier"], ["stats"], ["shutdown"]. *)
 
 val model_of : request -> string option
-(** The model the request is pinned to, when it has one — the sharding
-    key of the multi-executor dispatcher.  [None] for the global
-    requests ([list], [stats], [shutdown]), which execute under a
-    session barrier instead. *)
+(** The model the request is pinned to, when it has one — the key that
+    picks its executor shard.  [None] for the global requests ([list],
+    [stats], [shutdown]), which the session's writer runs once every
+    earlier reply exists, before a later line is admitted. *)
 
 val of_line : string -> (envelope, error) result
 (** Parse one NDJSON line.  Never raises: malformed JSON yields

@@ -22,9 +22,10 @@ let default_config ?(clock = Unix.gettimeofday) () =
 (* Serving counters, deterministic for a single session at any executor
    count: everything except [overloaded] (reader-side rejections) is
    incremented in admission order relative to [stats] — model-pinned
-   requests bump when their shard executes them, and [stats] runs under
-   a session barrier that waits for every earlier request first.  No
-   timings in here — those live in telemetry. *)
+   requests bump when their shard executes them, and [stats] runs only
+   once every earlier reply of its session exists, before its reader
+   admits a later line.  No timings in here — those live in
+   telemetry. *)
 type counters = {
   mutable c_load : int;
   mutable c_evict : int;
@@ -41,42 +42,13 @@ type counters = {
 
 type outcome = Shutdown | Eof
 
-(* One serving session: its reorder buffer (responses leave in admission
-   order), the in-flight count the dispatcher's barrier waits on, the
-   outcome the session loop reports and what to do as soon as a
-   [shutdown] reply is produced. *)
-type session = {
-  reorder : Io.Json.t Reorder.t;
-  flight_lock : Mutex.t;
-  flight_zero : Condition.t;
-  mutable inflight : int;
-  mutable outcome : outcome;
-  on_shutdown : unit -> unit;
-}
-
-type admitted =
-  | Job of {
-      session : session;
-      seq : int;
-      envelope : (Protocol.envelope, Protocol.error) result;
-      admitted : float;
-    }
-  | End_session of session
-  | Stop_dispatch
-
-type runtime = {
-  exec : Executor.t;
-  admission : admitted Admission.t;
-  dispatcher : Thread.t;
-}
-
 type t = {
   config : config;
   reg : Registry.t;
   counters : counters;
   counters_lock : Mutex.t;
-  runtime_lock : Mutex.t;
-  mutable runtime : runtime option;
+  exec_lock : Mutex.t;
+  mutable exec : Executor.t option;
 }
 
 let registry t = t.reg
@@ -486,9 +458,8 @@ let execute t ?admitted ({ id; request } : Protocol.envelope) =
     Protocol.response_error e
 
 (* ------------------------------------------------------------------ *)
-(* The multi-executor runtime: a service-wide dispatcher thread routes
-   admitted jobs to N executor domains, sharded by model name; sessions
-   contribute reader threads and drain their reorder buffers.           *)
+(* The executor pool: N domains, sharded by model name, spawned by the
+   first session.                                                       *)
 
 (* FNV-1a (64-bit) over the model name.  [Hashtbl.hash] is seeded per
    process on some configurations and its value is unspecified across
@@ -508,14 +479,9 @@ let shard_of_name ~executors name =
   if executors < 1 then invalid_arg "shard_of_name: executors must be >= 1";
   Int64.to_int (Int64.unsigned_rem (fnv1a64 name) (Int64.of_int executors))
 
-let shard_of t request =
-  match Protocol.model_of request with
-  | Some model -> Some (shard_of_name ~executors:t.config.executors model)
-  | None -> None
-
 (* An exception that escapes [execute] (it guards all per-request
-   failures, so this is a bug path) must still submit a response: a
-   sequence-number gap would wedge the session's writer. *)
+   failures, so this is a bug path) must still fill its slot: an empty
+   slot would wedge the session's writer. *)
 let execute_total t ~admitted ({ Protocol.id; _ } as env) =
   match execute t ~admitted env with
   | response -> response
@@ -527,98 +493,32 @@ let execute_total t ~admitted ({ Protocol.id; _ } as env) =
     count_error t e;
     Protocol.response_error e
 
-let flight_incr session =
-  Mutex.protect session.flight_lock (fun () ->
-      session.inflight <- session.inflight + 1)
-
-let flight_decr session =
-  Mutex.protect session.flight_lock (fun () ->
-      session.inflight <- session.inflight - 1;
-      if session.inflight = 0 then Condition.broadcast session.flight_zero)
-
-(* Wait until every job of [session] dispatched so far has submitted its
-   response.  Global requests run behind this barrier: [stats]/[list]
-   then observe exactly the session's admission-order prefix, and
-   [shutdown]'s acknowledgement really means "everything before me is
-   answered". *)
-let flight_barrier session =
-  Mutex.protect session.flight_lock (fun () ->
-      while session.inflight > 0 do
-        Condition.wait session.flight_zero session.flight_lock
-      done)
-
-let dispatch_loop t ~exec ~admission () =
-  let rec loop () =
-    match Admission.pop admission with
-    | Stop_dispatch -> ()
-    | End_session session ->
-      flight_barrier session;
-      Reorder.close session.reorder;
-      loop ()
-    | Job { session; seq; envelope; admitted } ->
-      (match envelope with
-       | Error e ->
-         (* Pre-failed (parse/bad-request) jobs are answered by the
-            dispatcher itself, in admission order relative to any later
-            barrier request. *)
-         count_error t e;
-         Reorder.submit session.reorder ~seq (Protocol.response_error e)
-       | Ok env -> begin
-           match shard_of t env.Protocol.request with
-           | Some shard ->
-             flight_incr session;
-             Executor.submit exec ~shard (fun () ->
-                 let response = execute_total t ~admitted env in
-                 Reorder.submit session.reorder ~seq response;
-                 flight_decr session)
-           | None ->
-             flight_barrier session;
-             let response = execute_total t ~admitted env in
-             Reorder.submit session.reorder ~seq response;
-             (match env.Protocol.request with
-              | Protocol.Shutdown ->
-                Mutex.protect session.flight_lock (fun () ->
-                    session.outcome <- Shutdown);
-                session.on_shutdown ()
-              | _ -> ())
-         end);
-      loop ()
-  in
-  loop ()
-
-let runtime t =
-  Mutex.protect t.runtime_lock (fun () ->
-      match t.runtime with
-      | Some r -> r
+let executor t =
+  Mutex.protect t.exec_lock (fun () ->
+      match t.exec with
+      | Some exec -> exec
       | None ->
         let exec =
           Executor.create ~shards:t.config.executors
             ~queue_bound:t.config.queue_bound
         in
-        let admission = Admission.create ~bound:t.config.queue_bound in
-        let r =
-          { exec; admission;
-            dispatcher = Thread.create (dispatch_loop t ~exec ~admission) () }
-        in
-        t.runtime <- Some r;
-        r)
+        t.exec <- Some exec;
+        exec)
 
 let stop t =
-  let r = Mutex.protect t.runtime_lock (fun () ->
-      let r = t.runtime in
-      t.runtime <- None;
-      r)
+  let exec =
+    Mutex.protect t.exec_lock (fun () ->
+        let exec = t.exec in
+        t.exec <- None;
+        exec)
   in
-  match r with
-  | None -> ()
-  | Some r ->
-    Admission.push_control r.admission Stop_dispatch;
-    Thread.join r.dispatcher;
-    Executor.stop r.exec
+  Option.iter Executor.stop exec
 
 let create config =
   if config.executors < 1 then
     invalid_arg "Service.create: executors must be >= 1";
+  if config.queue_bound < 1 then
+    invalid_arg "Service.create: queue_bound must be >= 1";
   let make_ctx mrm labeling =
     Checker.make ~engine:config.engine ~epsilon:config.epsilon
       ~pool:config.pool ?telemetry:config.telemetry mrm labeling
@@ -634,18 +534,29 @@ let create config =
         c_frontier = 0; c_stats = 0; c_shutdown = 0; c_errors = 0;
         c_overloaded = 0; c_deadline_exceeded = 0 };
     counters_lock = Mutex.create ();
-    runtime_lock = Mutex.create ();
-    runtime = None }
+    exec_lock = Mutex.create ();
+    exec = None }
 
 (* ------------------------------------------------------------------ *)
-(* Sessions: reader thread -> shared admission queue -> dispatcher ->
-   executor shards -> reorder buffer -> writer thread.                 *)
+(* Sessions: a reader thread admits each line into the session's slot
+   queue and hands a model request to its shard; a writer thread emits
+   the slots in admission order.                                        *)
 
-(* One session over [input]/[output]; [on_shutdown] runs on the
-   dispatcher as soon as the reply to a [shutdown] request is produced,
-   before the session ends. *)
+(* A response slot: filled by the executor that runs a model request,
+   by the reader for a line it answers itself (malformed, or read after
+   [shutdown]), or by the writer for a request with no model
+   ([global]), which it runs when the slot reaches the head of the
+   queue. *)
+type slot = {
+  global : (Protocol.envelope * float) option;
+  mutable reply : Io.Json.t option;
+}
+
+(* One session over [input]/[output]; [on_shutdown] runs on the writer
+   as soon as the reply to a [shutdown] request is produced, before the
+   session ends. *)
 let serve_session ~on_shutdown t ~input ~output =
-  let rt = runtime t in
+  let exec = executor t in
   let out_lock = Mutex.create () in
   let write_json json =
     (* A vanished client (EPIPE) must not kill the session: keep
@@ -657,79 +568,99 @@ let serve_session ~on_shutdown t ~input ~output =
           flush output)
     with Sys_error _ -> ()
   in
-  let session =
-    { reorder = Reorder.create ~bound:t.config.queue_bound ();
-      flight_lock = Mutex.create ();
-      flight_zero = Condition.create ();
-      inflight = 0;
-      outcome = Eof;
-      on_shutdown }
+  (* [None] marks the end of input. *)
+  let slots = Admission.create ~bound:t.config.queue_bound in
+  let lock = Mutex.create () and filled = Condition.create () in
+  let fill slot reply =
+    Mutex.protect lock (fun () ->
+        slot.reply <- Some reply;
+        Condition.broadcast filled)
   in
-  let next_seq = ref 0 in
+  let await slot =
+    Mutex.protect lock (fun () ->
+        while Option.is_none slot.reply do
+          Condition.wait filled lock
+        done;
+        Option.get slot.reply)
+  in
+  let outcome = ref Eof and draining = ref false in
+  let admit line =
+    let envelope =
+      match Protocol.of_line line with
+      | Ok { Protocol.id; _ } | Error { Protocol.error_id = id; _ }
+        when !draining ->
+        Error
+          (Protocol.error ?id ~code:"shutting_down"
+             "the server is draining and stops accepting requests")
+      | parsed -> parsed
+    in
+    let admitted = t.config.clock () in
+    let slot =
+      match envelope with
+      | Error e -> { global = None; reply = Some (Protocol.response_error e) }
+      | Ok env when Protocol.model_of env.Protocol.request = None ->
+        { global = Some (env, admitted); reply = None }
+      | Ok _ -> { global = None; reply = None }
+    in
+    if not (Admission.try_push slots (Some slot)) then begin
+      Mutex.protect t.counters_lock (fun () ->
+          t.counters.c_overloaded <- t.counters.c_overloaded + 1);
+      Telemetry.add t.config.telemetry "server.overloaded" 1;
+      let id =
+        match envelope with
+        | Ok env -> env.Protocol.id
+        | Error e -> e.Protocol.error_id
+      in
+      write_json
+        (Protocol.response_error
+           (Protocol.error ?id ~code:"overloaded"
+              (Printf.sprintf "session queue full (%d requests unanswered)"
+                 t.config.queue_bound)))
+    end
+    else
+      match envelope with
+      | Error e -> count_error t e
+      | Ok ({ Protocol.request; _ } as env) -> begin
+          match Protocol.model_of request with
+          | Some model ->
+            Executor.submit exec
+              ~shard:(shard_of_name ~executors:t.config.executors model)
+              (fun () -> fill slot (execute_total t ~admitted env))
+          | None ->
+            (* The writer answers it once every earlier reply exists; no
+               later line is admitted before that. *)
+            ignore (await slot);
+            if request = Protocol.Shutdown then draining := true
+        end
+  in
   let reader () =
-    let shutdown_seen = ref false in
     let rec loop () =
       match input_line input with
-      | exception End_of_file ->
-        Admission.push_control rt.admission (End_session session)
-      | exception Sys_error _ ->
-        Admission.push_control rt.admission (End_session session)
+      | exception (End_of_file | Sys_error _) ->
+        Admission.push_control slots None
       | line ->
-        if String.trim line = "" then loop ()
-        else begin
-          let parsed = Protocol.of_line line in
-          let envelope =
-            if !shutdown_seen then begin
-              let id =
-                match parsed with
-                | Ok env -> env.Protocol.id
-                | Error e -> e.Protocol.error_id
-              in
-              Error
-                (Protocol.error ?id ~code:"shutting_down"
-                   "the server is draining and stops accepting requests")
-            end
-            else begin
-              (match parsed with
-               | Ok { Protocol.request = Protocol.Shutdown; _ } ->
-                 shutdown_seen := true
-               | _ -> ());
-              parsed
-            end
-          in
-          let job =
-            Job { session; seq = !next_seq; envelope;
-                  admitted = t.config.clock () }
-          in
-          if Admission.try_push rt.admission job then incr next_seq
-          else begin
-            Mutex.protect t.counters_lock (fun () ->
-                t.counters.c_overloaded <- t.counters.c_overloaded + 1);
-            Telemetry.add t.config.telemetry "server.overloaded" 1;
-            let id =
-              match envelope with
-              | Ok env -> env.Protocol.id
-              | Error e -> e.Protocol.error_id
-            in
-            write_json
-              (Protocol.response_error
-                 (Protocol.error ?id ~code:"overloaded"
-                    (Printf.sprintf
-                       "admission queue full (%d requests pending)"
-                       t.config.queue_bound)))
-          end;
-          loop ()
-        end
+        if String.trim line <> "" then admit line;
+        loop ()
     in
     loop ()
   in
   let writer () =
     let rec drain () =
-      match Reorder.next_ready session.reorder with
-      | Some json ->
-        write_json json;
-        drain ()
+      match Admission.peek slots with
       | None -> ()
+      | Some slot ->
+        Option.iter
+          (fun ((env : Protocol.envelope), admitted) ->
+            let reply = execute_total t ~admitted env in
+            if env.request = Protocol.Shutdown then begin
+              outcome := Shutdown;
+              on_shutdown ()
+            end;
+            fill slot reply)
+          slot.global;
+        write_json (await slot);
+        ignore (Admission.pop slots);
+        drain ()
     in
     drain ()
   in
@@ -737,7 +668,7 @@ let serve_session ~on_shutdown t ~input ~output =
   let writer_thread = Thread.create writer () in
   Thread.join reader_thread;
   Thread.join writer_thread;
-  Mutex.protect session.flight_lock (fun () -> session.outcome)
+  !outcome
 
 let serve_channels t ~input ~output =
   serve_session ~on_shutdown:ignore t ~input ~output
@@ -805,7 +736,7 @@ let tcp_listener ~host ~port =
 let accept_poll_s = 0.1
 
 let serve_listeners t listeners =
-  ignore (runtime t);
+  ignore (executor t);
   let stopping = Atomic.make false in
   let sessions_lock = Mutex.create () in
   let sessions = ref [] in

@@ -6,28 +6,33 @@
 
     - {b Sharded executors, deterministic order.}  The service runs a
       pool of [executors] worker domains ({!Executor}).  Each session's
-      reader thread admits lines into one service-wide bounded
-      {!Admission} queue; a dispatcher thread routes every admitted job
-      to the shard [fnv1a64 model mod executors] (a stable, explicit
-      FNV-1a hash — see {!shard_of_name} — never the process-seeded
-      [Hashtbl.hash]), so all requests on one model execute on one
-      executor, in admission order, against that model's warm caches,
-      and the model->shard mapping is identical across processes,
-      compiler versions and restarts.  Responses carry the session sequence
-      number assigned at admission and leave through a {!Reorder} buffer
-      strictly in admission order — the wire transcript of a session is
-      byte-identical at every executor count.
+      reader thread admits a line into the session's own bounded queue
+      of response slots ({!Admission}) and hands a request that names a
+      model straight to the shard [fnv1a64 model mod executors] (a
+      stable, explicit FNV-1a hash — see {!shard_of_name} — never the
+      process-seeded [Hashtbl.hash]), so all requests on one model
+      execute on one executor, in admission order, against that model's
+      warm caches, and the model->shard mapping is identical across
+      processes, compiler versions and restarts.  The executor fills the
+      request's slot; the session's writer thread emits the slots
+      strictly in admission order, waiting on the head — the wire
+      transcript of a session is byte-identical at every executor
+      count.
     - {b Global requests barrier.}  [list], [stats] and [shutdown] have
-      no model to shard on; the dispatcher waits for the session's
-      in-flight requests to finish and runs them inline, so their
-      answers observe exactly the admission-order prefix before them.
-      Malformed lines are answered by the dispatcher the same way,
-      keeping [parse_error]/[bad_request] replies in request order.
-    - {b Admission control.}  When the shared queue is full the reader
-      replies [overloaded] immediately instead of blocking the transport
-      (the one case where a response may overtake earlier requests'
-      replies, and the one counter that is not deterministic across
-      executor counts under concurrent sessions).
+      no model to shard on; the writer runs them when their slot
+      reaches the head, and the reader admits no later line until then,
+      so their answers observe exactly the admission-order prefix before
+      them.  Malformed lines get a slot the reader fills itself, keeping
+      [parse_error]/[bad_request] replies in request order.
+    - {b Admission control.}  When a session already has [queue_bound]
+      unanswered requests, its reader replies [overloaded] immediately
+      instead of blocking the transport (the one case where a response
+      may overtake earlier requests' replies, and the one counter that
+      is not deterministic across executor counts under concurrent
+      sessions).  Sessions share only the registry and the shard
+      queues, and an executor never waits on a session: one session's
+      unread replies, pending [stats] or EOF holds up no request of
+      another.
     - {b Deadlines.}  A request's budget (its ["deadline_ms"] or the
       server default) is counted from admission.  Expired on execution →
       immediate [deadline_exceeded]; otherwise a
@@ -39,8 +44,8 @@
       fields, unknown models, unsupported queries, kernel
       [Invalid_argument]s — becomes an error response; the daemon keeps
       serving and no executor is ever wedged (even an escaped exception
-      is turned into an [internal] response so the sequence numbering
-      has no gaps).
+      is turned into an [internal] response, so no slot stays
+      empty).
     - {b Graceful shutdown.}  A [shutdown] request drains everything
       admitted before it, is acknowledged in order, and lines read after
       it are answered [shutting_down]; the listeners then stop
@@ -50,7 +55,10 @@ type config = {
   engine : Perf.Engine.spec;
   epsilon : float;
   pool : Parallel.Pool.t;
-  queue_bound : int;          (** admission queue capacity, [>= 1] *)
+  queue_bound : int;
+      (** [>= 1]: the unanswered requests one session may have (excess
+          lines are answered [overloaded]) and each shard queue's
+          capacity *)
   executors : int;
       (** worker domains, [>= 1]; [1] reproduces the single-FIFO
           executor bit-for-bit *)
@@ -69,9 +77,10 @@ val default_config : ?clock:(unit -> float) -> unit -> config
 type t
 
 val create : config -> t
-(** Raises [Invalid_argument] when [executors < 1].  Worker domains and
-    the dispatcher are spawned lazily by the first session, so a service
-    used only through {!execute} costs no threads. *)
+(** Raises [Invalid_argument] when [executors < 1] or
+    [queue_bound < 1].  Worker domains are spawned lazily by the first
+    session, so a service used only through {!execute} costs no
+    threads. *)
 
 val registry : t -> Registry.t
 
@@ -99,11 +108,12 @@ val shard_of_name : executors:int -> string -> int
 type outcome = Shutdown | Eof
 
 val serve_channels : t -> input:in_channel -> output:out_channel -> outcome
-(** Run one session: a reader thread feeding the shared admission queue
-    and a writer thread draining the session's reorder buffer, as
-    described above.  Returns when [input] is exhausted ([Eof]) or a
-    [shutdown] request was served ([Shutdown]); either way every
-    admitted request has been answered and both threads joined.  Blank
+(** Run one session: a reader thread admitting lines into the session's
+    slot queue and handing model requests to their shards, and a writer
+    thread emitting the slots in order, as described above.  Returns
+    when [input] is exhausted ([Eof]) or a [shutdown] request was served
+    ([Shutdown]); either way every admitted request has been answered
+    and both threads joined.  Blank
     lines are ignored.  [output] is flushed after every response.
     Concurrent sessions on one service are safe and share the executor
     pool and registry. *)
@@ -140,7 +150,7 @@ val serve_socket : t -> path:string -> unit
     raises [Failure] when binding fails. *)
 
 val stop : t -> unit
-(** Stop the dispatcher and the executor domains, joining them.
-    Idempotent; a no-op when no session ever started the runtime.  Call
-    after the last session (e.g. once {!serve_listeners} returns) —
-    outstanding sessions must be drained first. *)
+(** Stop the executor domains, joining them.  Idempotent; a no-op when
+    no session ever started them.  Call after the last session (e.g.
+    once {!serve_listeners} returns) — outstanding sessions must be
+    drained first. *)

@@ -2,8 +2,9 @@
    fuzz), the bounded admission queue, quantile bisection, and the
    Service itself — differential bit-identity against a plain
    [Checker.eval_query], deadline expiry mid-Sericola with unpoisoned
-   caches, eviction under an in-flight request, and a full pipe session
-   exercising ordering, isolation and graceful shutdown. *)
+   caches, eviction under an in-flight request, a full pipe session
+   exercising ordering, isolation and graceful shutdown, and concurrent
+   sessions that must not wait on each other. *)
 
 module Protocol = Server.Protocol
 module Service = Server.Service
@@ -28,8 +29,8 @@ let check_env model query deadline_ms =
   { Protocol.id = None;
     request = Protocol.Check { model; query; deadline_ms } }
 
-let fresh_service () =
-  let service = Service.create (Service.default_config ()) in
+let fresh_service ?(config = Service.default_config ()) () =
+  let service = Service.create config in
   (match Service.preload service [ "adhoc" ] with
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
@@ -494,115 +495,6 @@ let pipe_session () =
   Service.stop service
 
 (* ------------------------------------------------------------------ *)
-(* Reorder buffer.                                                     *)
-
-module Reorder = Server.Reorder
-
-(* Out-of-order submission comes back out strictly in sequence order. *)
-let reorder_out_of_order () =
-  let r = Reorder.create () in
-  List.iter (fun seq -> Reorder.submit r ~seq (string_of_int seq)) [ 2; 0; 3; 1 ];
-  let take () = Option.get (Reorder.next_ready r) in
-  Alcotest.(check (list string)) "sequence order" [ "0"; "1"; "2"; "3" ]
-    (List.init 4 (fun _ -> take ()));
-  Reorder.close r;
-  Alcotest.(check bool) "closed and empty" true (Reorder.next_ready r = None)
-
-(* A gap stalls the consumer: nothing is emitted until the missing
-   sequence number arrives, then everything drains in order. *)
-let reorder_gap_stall () =
-  let r = Reorder.create () in
-  Reorder.submit r ~seq:1 "one";
-  Reorder.submit r ~seq:2 "two";
-  let seen = Atomic.make [] in
-  let consumer =
-    Thread.create
-      (fun () ->
-        let rec loop () =
-          match Reorder.next_ready r with
-          | Some v ->
-            Atomic.set seen (v :: Atomic.get seen);
-            loop ()
-          | None -> ()
-        in
-        loop ())
-      ()
-  in
-  Thread.delay 0.05;
-  Alcotest.(check (list string)) "stalled on the gap" [] (Atomic.get seen);
-  Reorder.submit r ~seq:0 "zero";
-  Reorder.close r;
-  Thread.join consumer;
-  Alcotest.(check (list string)) "drained in order" [ "zero"; "one"; "two" ]
-    (List.rev (Atomic.get seen))
-
-(* Closing with gaps still outstanding drains what is there, in
-   ascending order, skipping the holes — shutdown never hangs on a
-   response that will not come. *)
-let reorder_drain_on_close () =
-  let r = Reorder.create () in
-  Reorder.submit r ~seq:4 "four";
-  Reorder.submit r ~seq:0 "zero";
-  Reorder.submit r ~seq:2 "two";
-  Reorder.close r;
-  let drained =
-    let rec loop acc =
-      match Reorder.next_ready r with
-      | Some v -> loop (v :: acc)
-      | None -> List.rev acc
-    in
-    loop []
-  in
-  Alcotest.(check (list string)) "holes skipped" [ "zero"; "two"; "four" ]
-    drained
-
-let reorder_misuse () =
-  Alcotest.check_raises "bound 0"
-    (Invalid_argument "Reorder.create: bound must be >= 1") (fun () ->
-      ignore (Reorder.create ~bound:0 ()));
-  let r = Reorder.create () in
-  Reorder.submit r ~seq:1 "one";
-  Alcotest.check_raises "duplicate pending seq"
-    (Invalid_argument "Reorder.submit: duplicate sequence number 1") (fun () ->
-      Reorder.submit r ~seq:1 "again");
-  Reorder.submit r ~seq:0 "zero";
-  ignore (Reorder.next_ready r);
-  Alcotest.check_raises "already-consumed seq"
-    (Invalid_argument "Reorder.submit: duplicate sequence number 0") (fun () ->
-      Reorder.submit r ~seq:0 "late");
-  Reorder.close r;
-  Alcotest.check_raises "submit after close"
-    (Invalid_argument "Reorder.submit: closed") (fun () ->
-      Reorder.submit r ~seq:2 "dead")
-
-(* The bound blocks producers that run ahead, but the next expected
-   sequence number is always accepted — otherwise a full buffer whose
-   hole is still executing would deadlock the session. *)
-let reorder_bound () =
-  let r = Reorder.create ~bound:2 () in
-  Reorder.submit r ~seq:1 "one";
-  Reorder.submit r ~seq:2 "two";
-  let blocked_done = Atomic.make false in
-  let producer =
-    Thread.create
-      (fun () ->
-        Reorder.submit r ~seq:3 "three";
-        Atomic.set blocked_done true)
-      ()
-  in
-  Thread.delay 0.05;
-  Alcotest.(check bool) "ahead-of-window submit blocks" false
-    (Atomic.get blocked_done);
-  (* seq 0 is the hole the buffer is waiting on: accepted despite the
-     bound, and consuming it unblocks the stalled producer. *)
-  Reorder.submit r ~seq:0 "zero";
-  Alcotest.(check string) "hole fill" "zero" (Option.get (Reorder.next_ready r));
-  Alcotest.(check string) "then one" "one" (Option.get (Reorder.next_ready r));
-  Thread.join producer;
-  Alcotest.(check bool) "producer resumed" true (Atomic.get blocked_done);
-  Reorder.close r
-
-(* ------------------------------------------------------------------ *)
 (* Admission under concurrent producers.                               *)
 
 (* Racing try_push against a full queue: the bound is exact — with no
@@ -783,6 +675,238 @@ let stress_session () =
         (Printf.sprintf "byte-identical at %d executors" executors)
         reference transcript)
     [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Sessions do not wait on each other: a request with no model, an EOF  *)
+(* or an unread output stalls only its own session, and a full session  *)
+(* sheds its excess lines at once.                                      *)
+
+(* A session over OS pipes served by its own thread.  Replies are read
+   from the raw descriptor so a read can give up at a deadline. *)
+type client = {
+  requests : out_channel;
+  replies : Unix.file_descr;
+  pending : Buffer.t;  (* bytes read past the last whole reply *)
+  session : Thread.t;
+}
+
+let open_client service =
+  let in_r, in_w = Unix.pipe () in
+  let out_r, out_w = Unix.pipe () in
+  let input = Unix.in_channel_of_descr in_r
+  and output = Unix.out_channel_of_descr out_w in
+  let session =
+    Thread.create
+      (fun () ->
+        ignore (Service.serve_channels service ~input ~output);
+        close_out_noerr output;
+        close_in_noerr input)
+      ()
+  in
+  { requests = Unix.out_channel_of_descr in_w; replies = out_r;
+    pending = Buffer.create 1024; session }
+
+let send_lines c lines =
+  List.iter
+    (fun line ->
+      output_string c.requests line;
+      output_char c.requests '\n')
+    lines;
+  flush c.requests
+
+(* The next [n] replies, or those that arrive within [seconds] or before
+   the session closes its output. *)
+let replies_within seconds c n =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let chunk = Bytes.create 4096 in
+  let rec take count acc =
+    let text = Buffer.contents c.pending in
+    match String.index_opt text '\n' with
+    | _ when count = n -> List.rev acc
+    | Some i ->
+      Buffer.clear c.pending;
+      Buffer.add_string c.pending
+        (String.sub text (i + 1) (String.length text - i - 1));
+      take (count + 1) (String.sub text 0 i :: acc)
+    | None ->
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0.0 then List.rev acc
+      else begin
+        match Unix.select [ c.replies ] [] [] left with
+        | [], _, _ -> List.rev acc
+        | _ ->
+          let read = Unix.read c.replies chunk 0 (Bytes.length chunk) in
+          if read = 0 then List.rev acc
+          else begin
+            Buffer.add_subbytes c.pending chunk 0 read;
+            take count acc
+          end
+      end
+  in
+  take 0 []
+
+(* Ends the session: EOF on its input, its remaining replies read, its
+   thread joined. *)
+let close_client c =
+  close_out_noerr c.requests;
+  ignore (replies_within 30.0 c max_int);
+  Thread.join c.session;
+  Unix.close c.replies
+
+(* The first name "<prefix>N" that lands on [shard] at [executors]. *)
+let name_on_shard ~executors ~shard prefix =
+  let rec pick k =
+    let name = Printf.sprintf "%s%d" prefix k in
+    if Service.shard_of_name ~executors name = shard then name
+    else pick (k + 1)
+  in
+  pick 0
+
+let held_entry service model =
+  match Server.Registry.find (Service.registry service) model with
+  | Some entry -> entry
+  | None -> Alcotest.failf "model %s is not loaded" model
+
+let reply_kinds lines =
+  List.map
+    (fun line ->
+      let json = Io.Json.of_string line in
+      match member [ "kind" ] json with
+      | Some (Io.Json.String kind) -> kind
+      | _ -> expect_string [ "error" ] json)
+    lines
+
+let check_line ?id model =
+  Printf.sprintf
+    {|{"kind": "check", %s"model": "%s", "query": "P=? ( F[t<=2] doze )"}|}
+    (match id with None -> "" | Some id -> Printf.sprintf {|"id": "%s", |} id)
+    model
+
+(* Session A's check is held on its model's entry lock; A then sends
+   [stats] (which waits for that check) or closes its input.  Session
+   B's load and check on a model of the other shard must still be
+   answered while A's entry is held.  The short delay only lets A's
+   lines be admitted before B's; the pass does not depend on it. *)
+let barrier_does_not_stall () =
+  List.iter
+    (fun a_ends ->
+      let service =
+        fresh_service
+          ~config:{ (Service.default_config ()) with Service.executors = 2 } ()
+      in
+      let other =
+        name_on_shard ~executors:2
+          ~shard:(1 - Service.shard_of_name ~executors:2 "adhoc") "b"
+      in
+      let a = open_client service and b = open_client service in
+      let answered =
+        Server.Registry.exclusively (held_entry service "adhoc") (fun () ->
+            send_lines a [ check_line "adhoc" ];
+            (match a_ends with
+             | `Stats -> send_lines a [ {|{"kind": "stats"}|} ]
+             | `Eof -> close_out a.requests);
+            Thread.delay 0.1;
+            send_lines b
+              [ Printf.sprintf
+                  {|{"kind": "load", "model": "%s", "builtin": "adhoc"}|} other;
+                check_line other ];
+            replies_within 5.0 b 2)
+      in
+      let a_replies = replies_within 5.0 a 2 in
+      close_client a;
+      close_client b;
+      Service.stop service;
+      let case = match a_ends with `Stats -> "stats" | `Eof -> "EOF" in
+      Alcotest.(check (list string))
+        (Printf.sprintf "B answered while A's %s waits" case)
+        [ "load"; "check" ] (reply_kinds answered);
+      Alcotest.(check (list string))
+        (Printf.sprintf "A answered after release (%s)" case)
+        (match a_ends with `Stats -> [ "check"; "stats" ] | `Eof -> [ "check" ])
+        (reply_kinds a_replies))
+    [ `Stats; `Eof ]
+
+(* Session A floods cheap checks into an output pipe nobody reads, so
+   its writer blocks; session B's load and check on a model of A's
+   shard must still be answered.  A's output is drained before the
+   test returns, or the flush at exit would block on the full pipe.
+   The delay only lets A fill its pipe first. *)
+let unread_output_does_not_stall () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let service =
+    fresh_service
+      ~config:{ (Service.default_config ()) with Service.executors = 2 } ()
+  in
+  let same =
+    name_on_shard ~executors:2
+      ~shard:(Service.shard_of_name ~executors:2 "adhoc") "b"
+  in
+  let a = open_client service and b = open_client service in
+  let flood =
+    Thread.create
+      (fun () ->
+        send_lines a (List.init 5000 (fun _ -> check_line "adhoc"));
+        close_out a.requests)
+      ()
+  in
+  Thread.delay 0.5;
+  send_lines b
+    [ Printf.sprintf {|{"kind": "load", "model": "%s", "builtin": "adhoc"}|}
+        same;
+      check_line same ];
+  let answered = replies_within 5.0 b 2 in
+  let a_replies = List.length (replies_within 60.0 a max_int) in
+  Thread.join flood;
+  Thread.join a.session;
+  Unix.close a.replies;
+  close_client b;
+  Service.stop service;
+  Alcotest.(check (list string)) "B answered while A is unread"
+    [ "load"; "check" ] (reply_kinds answered);
+  Alcotest.(check int) "every flooded line answered" 5000 a_replies
+
+(* With room for two unanswered requests and the model's entry held,
+   the third to fifth lines are refused at once; the two admitted checks
+   are answered in order after release, and [stats] counts the three
+   refusals. *)
+let overloaded_sheds_and_recovers () =
+  let service =
+    fresh_service
+      ~config:{ (Service.default_config ()) with Service.queue_bound = 2 } ()
+  in
+  let a = open_client service in
+  let shed =
+    Server.Registry.exclusively (held_entry service "adhoc") (fun () ->
+        send_lines a
+          (List.init 5 (fun i ->
+               check_line ~id:(Printf.sprintf "c%d" i) "adhoc"));
+        replies_within 5.0 a 3)
+  in
+  let answered = replies_within 5.0 a 2 in
+  send_lines a [ {|{"kind": "stats"}|} ];
+  let stats = replies_within 5.0 a 1 in
+  close_client a;
+  Service.stop service;
+  let ids lines =
+    List.map (fun line -> expect_string [ "id" ] (Io.Json.of_string line)) lines
+  in
+  Alcotest.(check (list string)) "refused at once"
+    [ "overloaded"; "overloaded"; "overloaded" ] (reply_kinds shed);
+  Alcotest.(check (list string)) "refused ids" [ "c2"; "c3"; "c4" ] (ids shed);
+  Alcotest.(check (list string)) "admitted answered" [ "check"; "check" ]
+    (reply_kinds answered);
+  Alcotest.(check (list string)) "in order" [ "c0"; "c1" ] (ids answered);
+  match stats with
+  | [ line ] ->
+    let json = Io.Json.of_string line in
+    let number path =
+      match member path json with
+      | Some (Io.Json.Number v) -> int_of_float v
+      | _ -> Alcotest.failf "stats has no number at %s" (String.concat "." path)
+    in
+    Alcotest.(check int) "overloaded counted" 3 (number [ "overloaded" ]);
+    Alcotest.(check int) "checks run" 2 (number [ "requests"; "check" ])
+  | _ -> Alcotest.fail "no stats reply"
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial transport: torn frames, abrupt disconnects and          *)
@@ -994,7 +1118,17 @@ let fnv_sharding () =
     [ ""; "adhoc"; "twin"; "grid"; "chain" ];
   Alcotest.check_raises "executors >= 1 enforced"
     (Invalid_argument "shard_of_name: executors must be >= 1") (fun () ->
-      ignore (Service.shard_of_name ~executors:0 "adhoc"))
+      ignore (Service.shard_of_name ~executors:0 "adhoc"));
+  let default = Service.default_config () in
+  List.iter
+    (fun (field, config) ->
+      Alcotest.check_raises
+        (Printf.sprintf "Service.create: %s >= 1 enforced" field)
+        (Invalid_argument
+           (Printf.sprintf "Service.create: %s must be >= 1" field))
+        (fun () -> ignore (Service.create config)))
+    [ ("executors", { default with Service.executors = 0 });
+      ("queue_bound", { default with Service.queue_bound = 0 }) ]
 
 let suite =
   ( "server",
@@ -1016,21 +1150,20 @@ let suite =
       Alcotest.test_case "service: evict with in-flight work" `Quick
         evict_in_flight;
       Alcotest.test_case "service: pipe session" `Quick pipe_session;
-      Alcotest.test_case "reorder: out-of-order completion" `Quick
-        reorder_out_of_order;
-      Alcotest.test_case "reorder: gap stalls the consumer" `Quick
-        reorder_gap_stall;
-      Alcotest.test_case "reorder: drain on close skips holes" `Quick
-        reorder_drain_on_close;
-      Alcotest.test_case "reorder: misuse raises" `Quick reorder_misuse;
-      Alcotest.test_case "reorder: bound admits the next seq" `Quick
-        reorder_bound;
       Alcotest.test_case "admission: racing try_push, exact bound" `Quick
         admission_racing_bound;
       Alcotest.test_case "admission: concurrent producers FIFO" `Quick
         admission_concurrent_producers;
       Alcotest.test_case "service: stress session at executors 1/2/4" `Quick
         stress_session;
+      Alcotest.test_case
+        "service: a barrier or EOF in one session does not stall another"
+        `Quick barrier_does_not_stall;
+      Alcotest.test_case
+        "service: a client that stops reading does not stall other sessions"
+        `Quick unread_output_does_not_stall;
+      Alcotest.test_case "service: overloaded sheds and recovers" `Quick
+        overloaded_sheds_and_recovers;
       Alcotest.test_case "service: adversarial TCP transport" `Quick
         tcp_adversarial;
       Alcotest.test_case "service: shutdown stops the listeners" `Quick
