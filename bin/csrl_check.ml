@@ -19,9 +19,7 @@ let fail fmt =
 let refusing ~model f =
   match f () with
   | v -> v
-  | exception (Checker.Unsupported message | Perf.Symbolic.Unsupported message)
-    ->
-    fail "unsupported: %s" message
+  | exception Checker.Unsupported message -> fail "unsupported: %s" message
   | exception Markov.Labeling.Unknown_proposition p ->
     fail "unknown proposition %S" p
   | exception Lang.Gcm.Runtime_error message ->
@@ -252,95 +250,9 @@ let run_batch ~model ~pool ?telemetry ~engine ~jobs ctx init path =
       cache_json memo fg_before ]
 
 (* ------------------------------------------------------------------ *)
-(* Successor-backed (.gcm) models under the windowed engine: the
-   formula is checked directly on the successor function, the state
-   space explored on demand by the sliding window and never enumerated. *)
-
-let check_symbolic ~finish ?telemetry ~epsilon ~list_props
-    ~explicit_only path succ formula_text =
-  if explicit_only then
-    fail
-      "--info, --lump, --batch and --frontier need an explicit state space; \
-       rerun with an explicit engine (e.g. --engine sericola) to materialise \
-       the .gcm model";
-  if list_props then begin
-    Printf.printf "symbolic model: %s (state space explored on demand)\n" path;
-    List.iter (fun p -> Printf.printf "  %s\n" p)
-      succ.Explore.Succ.propositions;
-    0
-  end
-  else begin
-    let query =
-      match formula_text with
-      | Some text -> parse_query text
-      | None -> fail "no formula given (pass one, or --list-propositions)"
-    in
-    let sym = Perf.Symbolic.create succ in
-    let engine =
-      Format.asprintf "%a" Perf.Engine.pp_spec
-        (Perf.Engine.Windowed { epsilon })
-    in
-    Format.printf "query:  %a@." Logic.Ast.pp_query query;
-    Printf.printf "engine: %s\n" engine;
-    let print_answer (a : Perf.Symbolic.answer) =
-      Printf.printf
-        "certified interval: [%.12g, %.12g] (delta %.3g <= epsilon %g)\n"
-        a.Perf.Symbolic.lower a.Perf.Symbolic.upper a.Perf.Symbolic.delta
-        epsilon;
-      match a.Perf.Symbolic.stats with
-      | Some s ->
-        Printf.printf
-          "window: peak=%d expanded=%d dropped=%.3g iterations=%d \
-           restarts=%d rate=%g\n"
-          s.Explore.Windowed.peak_window s.Explore.Windowed.states_expanded
-          s.Explore.Windowed.mass_dropped s.Explore.Windowed.iterations
-          s.Explore.Windowed.restarts s.Explore.Windowed.rate
-      | None ->
-        print_endline
-          "solved via the materialised explicit model (reward bound active \
-           inside the window)"
-    in
-    let code =
-      match
-        refusing ~model:path (fun () ->
-            Perf.Symbolic.eval ?telemetry ~epsilon sym query)
-      with
-      | Perf.Symbolic.Numeric a ->
-        Printf.printf "value from the initial state: %.10f\n"
-          a.Perf.Symbolic.value;
-        print_answer a;
-        0
-      | Perf.Symbolic.Boolean (verdict, answer) ->
-        Printf.printf "verdict at the initial state: %s\n"
-          (if verdict then "SATISFIED" else "violated");
-        Option.iter print_answer answer;
-        if verdict then 0 else 1
-    in
-    finish
-      [ ("mode", Io.Json.String "symbolic");
-        ("engine", Io.Json.String engine);
-        ("model", Io.Json.String path);
-        ("query", Io.Json.String (render_query query)) ];
-    code
-  end
-
-(* Any other engine checks a .gcm program through its materialised
-   (capped) explicit twin. *)
-let materialise path succ =
-  match Explore.Materialise.materialise (Explore.Space.create succ) with
-  | Ok (mrm, labeling, init_id) ->
-    (mrm, labeling, Linalg.Vec.unit (Markov.Mrm.n_states mrm) init_id)
-  | Error n ->
-    fail
-      "%s: more than %d reachable states; explicit engines cannot \
-       materialise it — use --engine windowed"
-      path n
-
-(* ------------------------------------------------------------------ *)
-(* One checking path for every model kind: resolve the source, then
-   check a point-valued or interval model through the Checker (a .gcm
-   program is materialised first), or a program under the windowed
-   engine through Perf.Symbolic.                                        *)
+(* One checking path for every model kind: resolve the source, decide
+   what a .gcm program becomes under the engine, then check the point,
+   interval or program context through the Checker.                     *)
 
 let run model_name file engine_text epsilon jobs trace stats list_props info
     lump batch_file frontier_fmt rate_drift imrm_file formula_text =
@@ -377,7 +289,8 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
   in
   let source =
     match
-      Models.Source.resolve ?file ?drift:rate_drift ?imrm:imrm_file model_name
+      Models.Source.resolve ~engine ?file ?drift:rate_drift ?imrm:imrm_file
+        model_name
     with
     | Ok source -> source
     | Error (Models.Source.Unknown_model name) -> unknown_model name
@@ -411,16 +324,21 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
       telemetry
   in
   let spec = Format.asprintf "%a" Perf.Engine.pp_spec engine in
-  let check model labeling init =
+  let check (source : Models.Source.t) =
     if list_props then begin
-      (match model with
-       | `Point mrm ->
+      (match source with
+       | Explicit { mrm; labeling; _ } ->
          Printf.printf "model: %d states, %d transitions\n"
            (Markov.Mrm.n_states mrm)
-           (Linalg.Csr.nnz (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm)))
-       | `Interval imrm ->
-         Printf.printf "interval model: %s\n" (interval_shape imrm));
-      print_propositions labeling;
+           (Linalg.Csr.nnz (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm)));
+         print_propositions labeling
+       | Interval { imrm; labeling; _ } ->
+         Printf.printf "interval model: %s\n" (interval_shape imrm);
+         print_propositions labeling
+       | Program { path; succ; _ } ->
+         Printf.printf "symbolic model: %s (state space explored on demand)\n"
+           path;
+         List.iter (Printf.printf "  %s\n") succ.Explore.Succ.propositions);
       0
     end
     else begin
@@ -432,13 +350,11 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
          Option.iter
            (fun tel -> Parallel.Pool.instrument pool (Telemetry.clock tel))
            telemetry);
-      let ctx, engine_label =
-        match model with
-        | `Point mrm ->
-          (Checker.make ~engine ~epsilon ~pool ?telemetry mrm labeling, spec)
-        | `Interval imrm ->
-          (Checker.make_robust ~engine ~epsilon ~pool ?telemetry imrm
-             labeling, "robust-envelope over " ^ spec)
+      let ctx, init = Batch.context ~engine ~epsilon ~pool ?telemetry source in
+      let engine_label =
+        match source with
+        | Interval _ -> "robust-envelope over " ^ spec
+        | Explicit _ | Program _ -> spec
       in
       let finish_as mode fields =
         finish ~pool
@@ -490,14 +406,14 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
       | None, Some query ->
         Format.printf "query:  %a@." Logic.Ast.pp_query query;
         Printf.printf "engine: %s\n" engine_label;
-        (match model with
-         | `Point _ -> ()
-         | `Interval imrm ->
-           Printf.printf "model:  %s\n" (interval_shape imrm));
+        (match source with
+         | Interval { imrm; _ } ->
+           Printf.printf "model:  %s\n" (interval_shape imrm)
+         | Explicit _ | Program _ -> ());
         let verdict =
           refusing ~model:label (fun () -> Checker.eval_query ctx query)
         in
-        let code = print_verdict labeling init verdict in
+        let code = print_verdict (Checker.labeling ctx) init verdict in
         finish_as "check" [ ("query", Io.Json.String (render_query query)) ];
         code
     end
@@ -518,29 +434,20 @@ let run model_name file engine_text epsilon jobs trace stats list_props info
       print_info mrm labeling init;
       0
     end
-    else check (`Point mrm) labeling init
+    else check (Explicit { mrm; labeling; init })
   in
-  match source, engine with
-  | Models.Source.Program { path; succ }, Perf.Engine.Windowed { epsilon = e }
-    ->
-    (* [windowed:eps] wins over --epsilon; bare [windowed] (parsed at the
-       1e-9 default) honours --epsilon. *)
-    let epsilon = if String.contains engine_text ':' then e else epsilon in
-    check_symbolic ~finish:(fun fields -> finish fields) ?telemetry
-      ~epsilon ~list_props
-      ~explicit_only:
-        (info || lump || batch_file <> None || frontier_fmt <> None)
-      path succ formula_text
-  | Models.Source.Program { path; succ }, _ ->
-    explicit (refusing ~model:label (fun () -> materialise path succ))
-  | Models.Source.Explicit { mrm; labeling; init }, _ ->
-    explicit (mrm, labeling, init)
-  | Models.Source.Interval { imrm; labeling; init }, _ ->
-    if lump || info || frontier_fmt <> None then
-      fail
-        "--lump, --info and --frontier need a point-valued model; interval \
-         models answer P queries, state formulas and --batch";
-    check (`Interval imrm) labeling init
+  match source with
+  | Explicit { mrm; labeling; init } -> explicit (mrm, labeling, init)
+  | Interval _ when lump || info || frontier_fmt <> None ->
+    fail
+      "--lump, --info and --frontier need a point-valued model; interval \
+       models answer P queries, state formulas and --batch"
+  | Program _ when lump || info || frontier_fmt <> None ->
+    fail
+      "--info, --lump and --frontier need an explicit state space; rerun \
+       with an explicit engine (e.g. --engine sericola) to materialise the \
+       .gcm model"
+  | Interval _ | Program _ -> check source
 
 open Cmdliner
 
@@ -570,7 +477,10 @@ let engine_arg =
   Arg.(value & opt string "sericola" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
 let epsilon_arg =
-  let doc = "Accuracy of transient analyses (must be in (0,1))." in
+  let doc =
+    "Accuracy of transient analyses (must be in (0,1)).  A .gcm program \
+     under --engine windowed[:eps] is certified at the engine's eps."
+  in
   Arg.(value & opt float 1e-9 & info [ "epsilon" ] ~docv:"EPS" ~doc)
 
 let jobs_arg =

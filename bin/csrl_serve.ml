@@ -198,7 +198,9 @@ let deadline_arg =
 let engine_arg =
   let doc =
     "Numerical engine for time- and reward-bounded until: sericola[:eps], \
-     erlang[:phases] or discretise[:step]."
+     erlang[:phases], discretise[:step] or windowed[:eps].  It also decides \
+     what a loaded .gcm program becomes: a program checked on the fly \
+     under windowed, its materialised explicit twin under the others."
   in
   Arg.(value & opt string "sericola" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -252,11 +254,13 @@ let cmd =
          \"hi\": BOUND[, \"tolerance\": W][, \"deadline_ms\": MS]}, \
          {\"kind\": \"stats\"}, {\"kind\": \"shutdown\"}.  Every request \
          may carry an \"id\" string, echoed in its response.  A \"file\" \
-         ending in .gcm loads a guarded-command program as a symbolic \
-         model: checks run the sliding-window engine on demand and answer \
-         with a certified interval, the interned state space and query \
-         memo stay warm across checks (each load gets independent \
-         caches), and quantile/frontier report unsupported." ]
+         ending in .gcm loads a guarded-command program.  Under \
+         --engine windowed its checks run the sliding-window engine on \
+         demand and answer with a certified interval (a threshold inside \
+         it is unknown), the interned state space and the memo stay warm \
+         across checks (each load gets independent caches), and \
+         quantile/frontier report unsupported; under any other engine \
+         the program is loaded as its materialised explicit twin." ]
   in
   Cmd.v
     (Cmd.info "csrl-serve" ~version:"1.0.0" ~doc ~man)

@@ -1,3 +1,15 @@
+let context ?(engine = Perf.Engine.default) ?epsilon ?pool ?telemetry
+    (source : Models.Source.t) =
+  match source with
+  | Models.Source.Explicit { mrm; labeling; init } ->
+    (Checker.make ~engine ?epsilon ?pool ?telemetry mrm labeling, init)
+  | Models.Source.Interval { imrm; labeling; init } ->
+    (Checker.make_robust ~engine ?epsilon ?pool ?telemetry imrm labeling, init)
+  | Models.Source.Program { succ; epsilon = certified; _ } ->
+    ( Checker.make_program ~epsilon:certified ?telemetry
+        (Perf.Symbolic.create succ),
+      Linalg.Vec.unit 1 0 )
+
 let record_counters telemetry name (c : Numerics.Memo.counters) =
   Telemetry.add telemetry (Printf.sprintf "batch.%s.lookups" name)
     c.Numerics.Memo.lookups;
@@ -170,11 +182,7 @@ module Frontier = struct
       in
       let time_bound = upper "time" time in
       let reward_bound = upper "reward" reward in
-      if Checker.is_robust ctx then
-        raise
-          (Checker.Unsupported
-             "frontier sweeps need point probabilities; check the interval \
-              model's envelopes with P queries instead");
+      Checker.require_precise ctx "frontier sweeps need";
       (* Every probe is an ordinary single-query solve on the caller's
          context with the shared memo, so each emitted point is
          bit-identical to what a cold solve of the same (t, r) returns —

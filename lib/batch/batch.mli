@@ -24,6 +24,17 @@
     queries), so no floating-point reassociation ever enters the
     per-query numerics. *)
 
+val context :
+  ?engine:Perf.Engine.spec -> ?epsilon:float -> ?pool:Parallel.Pool.t ->
+  ?telemetry:Telemetry.t -> Models.Source.t -> Checker.t * Linalg.Vec.t
+(** The checking context of a resolved model and its initial
+    distribution: {!Checker.make} for an explicit model,
+    {!Checker.make_robust} for an interval one, and for a program a
+    {!Checker.make_program} context over a fresh handle, certified at
+    the program's own [epsilon] (the windowed engine's, not [epsilon]),
+    whose initial distribution is its one row.  The CLI and the serving
+    daemon's registry build every context here. *)
+
 val run :
   ?pool:Parallel.Pool.t -> ?telemetry:Telemetry.t -> ?memo:Checker.memo ->
   Checker.t -> Logic.Ast.query list -> Checker.verdict list
@@ -124,8 +135,8 @@ module Frontier : sig
       vector dotted with [init]).  [tolerance] defaults to [1e-6].
       Records [frontier.grid] / [frontier.points] /
       [frontier.evaluations] on [telemetry].  Raises
-      {!Checker.Unsupported} on a robust context (a sweep needs point
-      probabilities), and [Invalid_argument]
+      {!Checker.Unsupported} on an interval or program context (a sweep
+      needs point probabilities), and [Invalid_argument]
       on any other query form or when the until's bounds are not finite
       downward-closed intervals (the parser's [frontier] production
       guarantees both). *)

@@ -1,13 +1,21 @@
-(* A robust context carries the interval model next to the precise
-   fields; [mrm] is then the point model (zero width) or the interval
-   midpoints.  Zero-width models run the precise procedures on it;
-   otherwise it is used only for state counts and display — the precise
-   entry points are guarded. *)
+(* A context is one of three kinds.  An interval context carries the
+   interval model next to the precise fields; [mrm] is then the point
+   model (zero width) or the interval midpoints.  Zero-width models run
+   the precise procedures on it; otherwise it is used only for state
+   counts and display.  A program context has one row, the program's
+   initial state: [mrm] is a one-state placeholder and [labeling] the
+   initial state's propositions.  The precise entry points are guarded
+   on both. *)
+type kind =
+  | Point
+  | Intervals of Robust.Imrm.t
+  | Program of Perf.Symbolic.t
+
 type t = {
   mrm : Markov.Mrm.t;
   labeling : Markov.Labeling.t;
   engine : Perf.Engine.spec;
-  imrm : Robust.Imrm.t option;
+  kind : kind;
   epsilon : float;
   pool : Parallel.Pool.t;
   telemetry : Telemetry.t option;
@@ -20,7 +28,7 @@ let make ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     ?(pool = Parallel.Pool.sequential) ?telemetry ?cancel mrm labeling =
   if Markov.Labeling.n_states labeling <> Markov.Mrm.n_states mrm then
     invalid_arg "Checker.make: labeling and model sizes differ";
-  { mrm; labeling; engine; imrm = None; epsilon; pool; telemetry; cancel }
+  { mrm; labeling; engine; kind = Point; epsilon; pool; telemetry; cancel }
 
 let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     ?(pool = Parallel.Pool.sequential) ?telemetry ?cancel imrm labeling =
@@ -30,30 +38,44 @@ let make_robust ?(engine = Perf.Engine.default) ?(epsilon = 1e-9)
     if Robust.Imrm.is_point imrm then Robust.Imrm.point_model imrm
     else Robust.Imrm.midpoint imrm
   in
-  { mrm; labeling; engine; imrm = Some imrm; epsilon; pool; telemetry;
+  { mrm; labeling; engine; kind = Intervals imrm; epsilon; pool; telemetry;
     cancel }
 
+let make_program ?(epsilon = 1e-9) ?telemetry sym =
+  { mrm = Markov.Mrm.of_transitions ~n:1 [] ~rewards:[| 0.0 |];
+    labeling = Perf.Symbolic.initial_labeling sym;
+    engine = Perf.Engine.Windowed { epsilon };
+    kind = Program sym; epsilon; pool = Parallel.Pool.sequential; telemetry;
+    cancel = None }
+
 let mrm ctx = ctx.mrm
-let robust_model ctx = ctx.imrm
-let is_robust ctx = ctx.imrm <> None
+let labeling ctx = ctx.labeling
+let robust_model ctx = match ctx.kind with Intervals m -> Some m | _ -> None
+let program ctx = match ctx.kind with Program p -> Some p | _ -> None
 let with_pool ctx pool = { ctx with pool }
 let with_telemetry ctx telemetry = { ctx with telemetry }
 let with_cancel ctx cancel = { ctx with cancel }
 
-let require_precise ctx what =
-  if ctx.imrm <> None then
-    raise
-      (Unsupported
-         (what
-        ^ " on a robust (interval-valued) context: interval models answer \
-           through eval_query's three-valued and interval verdicts"))
+(* Operators with no procedure on a context kind are refused before
+   anything is computed. *)
+let refuse ctx ~interval ~program =
+  match ctx.kind with
+  | Point -> ()
+  | Intervals _ -> raise (Unsupported interval)
+  | Program _ -> raise (Unsupported program)
 
-(* Operators with no envelope procedure are refused on interval models. *)
-let refuse_interval ctx message =
-  if ctx.imrm <> None then raise (Unsupported message)
+let require_precise ctx what =
+  let advice values =
+    Printf.sprintf
+      "%s point probabilities; check the %s with P queries instead" what
+      values
+  in
+  refuse ctx
+    ~interval:(advice "interval model's envelopes")
+    ~program:(advice "program's certified intervals")
 
 (* ------------------------------------------------------------------ *)
-(* Sat-sets and path values, over both context kinds.  A Sat-set is a
+(* Sat-sets and path values, over every context kind.  A Sat-set is a
    must/may pair: [must] holds the states that satisfy the formula
    under every model of the context, [may] those that satisfy it under
    some model.  A path value is a per-state envelope [lo, hi].  On a
@@ -405,9 +427,23 @@ let interval_time_bound time reward =
           solver is a transient (uniformisation) procedure; give the until \
           a time bound")
 
+let refuse_steady ctx =
+  refuse ctx
+    ~interval:
+      "steady-state operators over interval-valued models: bounding BSCC \
+       stationary distributions over rate intervals is not implemented"
+    ~program:"steady-state on a successor-backed model"
+
+let refuse_reward ctx =
+  refuse ctx
+    ~interval:
+      "expected-reward operators over interval-valued models are not \
+       implemented"
+    ~program:"expected-reward queries on a successor-backed model"
+
 (* ------------------------------------------------------------------ *)
-(* The recursive Sat computation: one bottom-up traversal for both
-   context kinds, every Sat-set and path value interned once per
+(* The recursive Sat computation: one bottom-up traversal for every
+   context kind, every Sat-set and path value interned once per
    structurally distinct subformula in [memo].  Memoised arrays are
    shared internally (nothing in the traversal mutates an operand) and
    copied at the public boundary when the memo is the caller's.  Until
@@ -437,15 +473,11 @@ and sat_compute memo ctx (phi : Logic.Ast.state_formula) : sat_set =
     lift2 (fun x y -> (not x) || y) (swap sf) sg
   | Prob (cmp, p, path) -> threshold cmp p (path_k memo ctx path)
   | Steady (cmp, p, f) ->
-    refuse_interval ctx
-      "steady-state operators over interval-valued models: bounding BSCC \
-       stationary distributions over rate intervals is not implemented";
+    refuse_steady ctx;
     threshold cmp p
       (point_value (steady_values ctx ~target:(sat_k memo ctx f).must))
   | Reward (cmp, c, q) ->
-    refuse_interval ctx
-      "expected-reward operators over interval-valued models are not \
-       implemented";
+    refuse_reward ctx;
     threshold cmp c (point_value (reward_values memo ctx q))
 
 and reward_values memo ctx (q : Logic.Ast.reward_query) : Linalg.Vec.t =
@@ -464,23 +496,36 @@ and path_k memo ctx (path : Logic.Ast.path_formula) : Robust.Envelope.result =
 
 and path_compute memo ctx (path : Logic.Ast.path_formula)
     : Robust.Envelope.result =
-  match path with
-  | Next (time, reward, f) ->
-    refuse_interval ctx
-      "next over interval-valued models: the jump probability and the \
-       sojourn factor share each rate, so the per-transition optimum is \
-       not separable; no envelope procedure is implemented";
+  match path, ctx.kind with
+  | Next (time, reward, f), _ ->
+    refuse ctx
+      ~interval:
+        "next over interval-valued models: the jump probability and the \
+         sojourn factor share each rate, so the per-transition optimum is \
+         not separable; no envelope procedure is implemented"
+      ~program:"next on a successor-backed model (load the explicit model)";
     point_value
       (next_probabilities ctx ~time ~reward ~target:(sat_k memo ctx f).must)
-  | Until (time, reward, f, g) -> (
+  | Until (time, reward, f, g), Program sym ->
+    (* The operands compile to predicates on the program's states; the
+       certified interval is the initial state's envelope. *)
+    let a =
+      try
+        Perf.Symbolic.until ?telemetry:ctx.telemetry ?cancel:ctx.cancel
+          ~epsilon:ctx.epsilon sym time reward f g
+      with Perf.Symbolic.Unsupported message -> raise (Unsupported message)
+    in
+    { Robust.Envelope.lo = Linalg.Vec.of_array [| a.Perf.Symbolic.lower |];
+      hi = Linalg.Vec.of_array [| a.Perf.Symbolic.upper |] }
+  | Until (time, reward, f, g), _ -> (
       (* Interval models refuse what no envelope bounds before the
          operands are computed; zero width needs no envelope. *)
       let envelope =
-        match ctx.imrm with
-        | None -> None
-        | Some imrm ->
+        match ctx.kind with
+        | Intervals imrm ->
           let time_bound = interval_time_bound time reward in
           if Robust.Imrm.is_point imrm then None else Some (imrm, time_bound)
+        | Point | Program _ -> None
       in
       let phi = sat_k memo ctx f and psi = sat_k memo ctx g in
       match envelope with
@@ -497,11 +542,11 @@ and path_compute memo ctx (path : Logic.Ast.path_formula)
         else { lo; hi = solve phi.may psi.may })
 
 let sat ctx phi =
-  require_precise ctx "boolean Sat-sets";
+  require_precise ctx "boolean Sat-sets need";
   (sat_k (create_memo ()) ctx phi).must
 
 let path_probabilities ctx path =
-  require_precise ctx "point path probabilities";
+  require_precise ctx "path probability vectors need";
   (path_k (create_memo ()) ctx path).lo
 
 let holds ctx phi s =
@@ -522,24 +567,20 @@ let eval_query ?memo ctx q =
   Telemetry.with_span ctx.telemetry "checker.eval_query" @@ fun () ->
   let shared = Option.is_some memo in
   let memo = match memo with Some m -> m | None -> create_memo () in
-  let robust = ctx.imrm <> None in
+  let precise = match ctx.kind with Point -> true | _ -> false in
   let verdict =
     match q with
     | Logic.Ast.Formula f ->
       let s = sat_k memo ctx f in
-      if robust then Three_valued (tri_array s) else Boolean s.must
+      if precise then Boolean s.must else Three_valued (tri_array s)
     | Logic.Ast.Prob_query path ->
       let v = path_k memo ctx path in
-      if robust then Interval v else Numeric v.lo
+      if precise then Numeric v.lo else Interval v
     | Logic.Ast.Steady_query f ->
-      refuse_interval ctx
-        "steady-state queries over interval-valued models: bounding BSCC \
-         stationary distributions over rate intervals is not implemented";
+      refuse_steady ctx;
       Numeric (steady_values ctx ~target:(sat_k memo ctx f).must)
     | Logic.Ast.Reward_query q ->
-      refuse_interval ctx
-        "expected-reward queries over interval-valued models are not \
-         implemented";
+      refuse_reward ctx;
       Numeric (reward_values memo ctx q)
     | Logic.Ast.Frontier_query _ ->
       (* A frontier is a set of points, not a per-state vector; the sweep

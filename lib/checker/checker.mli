@@ -16,16 +16,23 @@
       followed by one of the three numerical engines of Section 4.
 
     The steady-state operator follows the BSCC construction of the CSL
-    literature. *)
+    literature.
+
+    One recursion serves three context kinds: point-valued models
+    ({!make}), interval-valued ones ({!make_robust}) and [.gcm] programs
+    under the windowed engine ({!make_program}).  Every threshold is
+    decided on the value's [\[lo, hi\]] ({!tri_of_bounds}). *)
 
 type t
 (** A checking context: model, labeling, engine selection, accuracy. *)
 
 exception Unsupported of string
-(** Raised for the one genuinely open corner: a reward-bounded (but
-    time-unbounded) until on a model where some relevant state has reward
-    zero — the duality transform of [P2] then needs infinite rates.  The
-    paper has the same restriction. *)
+(** A formula with no procedure on the context, with a one-line reason:
+    the paper's open problems (a reward interval not starting at 0, a
+    time-interval lower bound combined with a reward bound), a
+    reward-bounded, time-unbounded until whose duality transform needs
+    infinite rates, and the operators an interval or program context
+    has no procedure for (see {!robust_sat} and {!make_program}). *)
 
 val make :
   ?engine:Perf.Engine.spec -> ?epsilon:float -> ?pool:Parallel.Pool.t ->
@@ -80,15 +87,35 @@ val make_robust :
     what they mean on {!make}.
 
     The precise entry points ({!sat}, {!path_probabilities}, {!holds})
-    raise {!Unsupported} on a robust context — they would silently
-    answer on the interval midpoints otherwise. *)
+    raise {!Unsupported} on a robust or program context — they would
+    silently answer on the interval midpoints or the placeholder
+    otherwise. *)
+
+val make_program :
+  ?epsilon:float -> ?telemetry:Telemetry.t -> Perf.Symbolic.t -> t
+(** A program context over a [.gcm] program's handle, under the
+    windowed engine certified to [epsilon] (default [1e-9]).  Its one
+    row, state [0], is the program's initial state, labelled by
+    {!Perf.Symbolic.initial_labeling}; an until's value there is the
+    [\[lower, upper\]] of {!Perf.Symbolic.until}, so {!eval_query}
+    answers {!Three_valued} and {!Interval} verdicts as on an interval
+    model.  Steady-state, expected-reward and next operators and the
+    untils {!Perf.Symbolic.until} refuses raise {!Unsupported}. *)
 
 val mrm : t -> Markov.Mrm.t
-(** On a robust context this is the point model (zero width) or the
-    interval midpoints — state counts and display only. *)
+(** On an interval context this is the point model (zero width) or the
+    interval midpoints, on a program context a one-state placeholder —
+    state counts and display only. *)
+
+val labeling : t -> Markov.Labeling.t
 
 val robust_model : t -> Robust.Imrm.t option
-val is_robust : t -> bool
+val program : t -> Perf.Symbolic.t option
+
+val require_precise : t -> string -> unit
+(** [require_precise ctx "frontier sweeps need"] raises {!Unsupported}
+    ("frontier sweeps need point probabilities; ...") on an interval or
+    program context, whose until values are intervals. *)
 
 val with_pool : t -> Parallel.Pool.t -> t
 (** The same context running its kernels on a different pool.  The batch
@@ -128,8 +155,8 @@ val create_memo : unit -> memo
 
 val memo_counters : memo -> (string * Numerics.Memo.counters) list
 (** Lookup/hit/miss statistics per cache, sorted by name: ["path"],
-    ["reduction"] and ["sat"], on both context kinds (a robust
-    context's three-valued Sat-sets count under ["sat"], its envelopes
+    ["reduction"] and ["sat"], on every context kind (three-valued
+    Sat-sets count under ["sat"], envelopes and certified intervals
     under ["path"]).  In every entry [hits + misses = lookups]. *)
 
 val sat : t -> Logic.Ast.state_formula -> bool array
@@ -151,7 +178,9 @@ type tri = Holds | Fails | Unknown
 (** Three-valued satisfaction over an interval model: [Holds] when every
     concrete model of the uncertainty set satisfies the formula in the
     state, [Fails] when none does, [Unknown] when the envelope straddles
-    a probability bound (Kleene logic on the boolean layer). *)
+    a probability bound (Kleene logic on the boolean layer).  On a
+    program context the interval is the windowed engine's certified
+    one. *)
 
 val tri_of_bool : bool -> tri
 val tri_to_string : tri -> string
@@ -166,21 +195,23 @@ val tri_of_bounds : Logic.Ast.comparison -> float -> lo:float -> hi:float -> tri
 val robust_sat : t -> Logic.Ast.state_formula -> tri array
 (** The three-valued Sat vector.  On a robust context it raises
     {!Unsupported} for operators with no envelope procedure —
-    steady-state, expected-reward, next, time-unbounded until; on a
-    precise context it is {!tri_of_bool} of {!sat}. *)
+    steady-state, expected-reward, next, time-unbounded until — and on
+    a program context for those listed at {!make_program}; on a precise
+    context it is {!tri_of_bool} of {!sat}. *)
 
 type verdict =
   | Boolean of bool array
   | Numeric of Linalg.Vec.t
-  | Three_valued of tri array   (** robust contexts: state formulas *)
+  | Three_valued of tri array
+      (** interval and program contexts: state formulas *)
   | Interval of Robust.Envelope.result
-      (** robust contexts: quantitative path queries *)
+      (** interval and program contexts: quantitative path queries *)
 
 val eval_query : ?memo:memo -> t -> Logic.Ast.query -> verdict
 (** A query's verdict: {!Boolean} and {!Numeric} on a precise context,
-    {!Three_valued} and {!Interval} on a robust one, which refuses
-    [S=?] and [R=?] queries and the operators listed at {!robust_sat}
-    with {!Unsupported}.  [memo] (default: a private memo for this call)
+    {!Three_valued} and {!Interval} on an interval or program one, which
+    refuses [S=?] and [R=?] queries and the operators listed at
+    {!robust_sat} with {!Unsupported}.  [memo] (default: a private memo for this call)
     shares Sat-sets, path values and Theorem 1 artefacts across calls —
     the per-query entry point of the batch engine and the serving
     daemon's warm caches, envelopes included.  Verdicts read from a

@@ -120,15 +120,24 @@ let pp_comparison ppf cmp =
   Format.pp_print_string ppf
     (match cmp with Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=")
 
+(* The shortest of %g, %.15g, %.16g and %.17g that reads back as the
+   same float: an echoed query is the query that was checked. *)
+let pp_float ppf x =
+  let render digits = Printf.sprintf "%.*g" digits x in
+  let exact digits = float_of_string (render digits) = x in
+  Format.pp_print_string ppf
+    (render
+       (Option.value ~default:17 (List.find_opt exact [ 6; 15; 16 ])))
+
 (* Bounds render as "[t>=a][t<=b]" / "[r<=600]"; an unbounded interval
    renders as nothing, matching the paper's convention of omitting
    vacuous bounds. *)
 let pp_bounds ppf (time, reward) =
   let one prefix interval =
     let lo = Numerics.Time_interval.lower interval in
-    if lo > 0.0 then Format.fprintf ppf "[%s>=%g]" prefix lo;
+    if lo > 0.0 then Format.fprintf ppf "[%s>=%a]" prefix pp_float lo;
     match Numerics.Time_interval.upper interval with
-    | Some b -> Format.fprintf ppf "[%s<=%g]" prefix b
+    | Some b -> Format.fprintf ppf "[%s<=%a]" prefix pp_float b
     | None -> ()
   in
   one "t" time;
@@ -155,14 +164,16 @@ let rec pp_prec level ppf phi =
     paren (level > 0) (fun ppf ->
         Format.fprintf ppf "%a -> %a" (pp_prec 1) f (pp_prec 0) g)
   | Prob (cmp, p, path_f) ->
-    Format.fprintf ppf "P%a%g (%a)" pp_comparison cmp p pp_path path_f
+    Format.fprintf ppf "P%a%a (%a)" pp_comparison cmp pp_float p pp_path
+      path_f
   | Steady (cmp, p, f) ->
-    Format.fprintf ppf "S%a%g (%a)" pp_comparison cmp p (pp_prec 0) f
+    Format.fprintf ppf "S%a%a (%a)" pp_comparison cmp pp_float p (pp_prec 0)
+      f
   | Reward (cmp, c, q) ->
-    Format.fprintf ppf "R%a%g (%a)" pp_comparison cmp c pp_reward q
+    Format.fprintf ppf "R%a%a (%a)" pp_comparison cmp pp_float c pp_reward q
 
 and pp_reward ppf = function
-  | Cumulative b -> Format.fprintf ppf "C[t<=%g]" b
+  | Cumulative b -> Format.fprintf ppf "C[t<=%a]" pp_float b
   | Reach f -> Format.fprintf ppf "F %a" (pp_prec 3) f
   | Long_run -> Format.pp_print_string ppf "S"
 
@@ -183,6 +194,7 @@ let pp_query ppf = function
   | Steady_query f -> Format.fprintf ppf "S=? (%a)" pp f
   | Reward_query q -> Format.fprintf ppf "R=? (%a)" pp_reward q
   | Frontier_query { points; target; path } ->
-    Format.fprintf ppf "frontier[%d] P>=%g (%a)" points target pp_path path
+    Format.fprintf ppf "frontier[%d] P>=%a (%a)" points pp_float target
+      pp_path path
 
 let to_string phi = Format.asprintf "%a" pp phi

@@ -103,4 +103,7 @@ val pp_query : Format.formatter -> query -> unit
 val pp_comparison : Format.formatter -> comparison -> unit
 
 val to_string : state_formula -> string
-(** Renders in the concrete syntax accepted by {!Parser}. *)
+(** Renders in the concrete syntax accepted by {!Parser}.  Every number
+    is printed with the fewest significant digits (6, 15, 16 or 17) that
+    read back as the same float, so parsing a rendering gives back the
+    formula, bounds and thresholds bit for bit. *)

@@ -9,7 +9,7 @@ type t =
       labeling : Markov.Labeling.t;
       init : Linalg.Vec.t;
     }
-  | Program of { path : string; succ : Explore.Succ.t }
+  | Program of { path : string; succ : Explore.Succ.t; epsilon : float }
 
 type error = Unknown_model of string | Invalid of string
 
@@ -42,7 +42,26 @@ let explicit ?drift name mrm labeling init =
   | None -> Ok (Explicit { mrm; labeling; init })
   | Some pct -> widen name pct mrm labeling init
 
-let resolve ?file ?drift ?imrm name =
+(* Only the windowed engine checks a program without enumerating its
+   states; any other engine checks its materialised, capped twin. *)
+let program (engine : Perf.Engine.spec) path succ =
+  match engine with
+  | Perf.Engine.Windowed { epsilon } -> Ok (Program { path; succ; epsilon })
+  | _ -> begin
+      match Explore.Materialise.materialise (Explore.Space.create succ) with
+      | Ok (mrm, labeling, init) ->
+        let init = Linalg.Vec.unit (Markov.Mrm.n_states mrm) init in
+        Ok (Explicit { mrm; labeling; init })
+      | Error n ->
+        invalid
+          "%s: more than %d reachable states; explicit engines cannot \
+           materialise it — use --engine windowed"
+          path n
+      | exception Lang.Gcm.Runtime_error message ->
+        invalid "%s: runtime error: %s" path message
+    end
+
+let resolve ~engine ?file ?drift ?imrm name =
   match imrm, file with
   | Some path, _ -> begin
       match Robust.Imrm_io.parse_file path with
@@ -57,7 +76,7 @@ let resolve ?file ?drift ?imrm name =
       invalid "%s: .gcm models cannot be widened into interval models" path
     else begin
       match Lang.Gcm.load_file path with
-      | Ok succ -> Ok (Program { path; succ })
+      | Ok succ -> program engine path succ
       | Error message -> Error (Invalid message)
     end
   | None, Some path -> begin

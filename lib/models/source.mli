@@ -20,7 +20,9 @@ type t =
       labeling : Markov.Labeling.t;
       init : Linalg.Vec.t;
     }
-  | Program of { path : string; succ : Explore.Succ.t }
+  | Program of { path : string; succ : Explore.Succ.t; epsilon : float }
+      (** A program under the windowed engine, whose intervals are
+          certified to the engine's [epsilon]. *)
 
 type error =
   | Unknown_model of string
@@ -33,13 +35,17 @@ type error =
           e.g. ["bad.mrm:2: state 5 out of range"]. *)
 
 val resolve :
-  ?file:string -> ?drift:float -> ?imrm:string -> string -> (t, error) result
-(** [resolve name] with the first of these that applies:
+  engine:Perf.Engine.spec -> ?file:string -> ?drift:float -> ?imrm:string ->
+  string -> (t, error) result
+(** [resolve ~engine name] with the first of these that applies:
 
     - [imrm]: the interval model in that JSON file ([file], [drift] and
       [name] are ignored);
-    - [file]: a [.gcm] file is a {!Program}, anything else is parsed as
-      [.mrm] ([name] is ignored);
+    - [file]: a [.gcm] file is a {!Program} under the windowed [engine],
+      the only one that checks it without enumerating its states, and
+      its materialised explicit twin (initial state [0], capped at
+      {!Explore.Materialise.materialise}'s default limit) under any
+      other; anything else is parsed as [.mrm] ([name] is ignored);
     - otherwise [name] is a built-in, or ["<base>-drift[:PCT]"] for the
       built-in [base] widened by [PCT] percent (default 10).
 
@@ -47,4 +53,7 @@ val resolve :
     widens the resolved explicit model into an {!Interval} one with
     {!Robust.Imrm.of_mrm}; it is {!Invalid} on a program and on a
     ["-drift"] name, and so is a model with impulse rewards, which
-    interval models cannot represent. *)
+    interval models cannot represent.  A program whose twin exceeds the
+    cap, or that fails at run time while its space is explored, is
+    {!Invalid} too.  csrl-check and the serving daemon's [load] both
+    resolve here. *)

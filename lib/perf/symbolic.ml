@@ -1,5 +1,8 @@
 exception Unsupported of string
 
+(* States a window or a materialised twin may hold. *)
+let limit = 1_000_000
+
 let unsupported fmt = Printf.ksprintf (fun m -> raise (Unsupported m)) fmt
 
 type answer = {
@@ -12,25 +15,31 @@ type answer = {
 }
 
 type outcome =
-  | Boolean of bool * answer option
+  | Boolean of bool
   | Numeric of answer
 
 type t = {
   succ : Explore.Succ.t;
   space : Explore.Space.t;
-  memo : (string, outcome) Hashtbl.t;
+  lock : Mutex.t;
   mutable explicit_twin : (Markov.Mrm.t * Markov.Labeling.t * int) option;
 }
 
 let create succ =
-  { succ; space = Explore.Space.create succ; memo = Hashtbl.create 16;
+  { succ; space = Explore.Space.create succ; lock = Mutex.create ();
     explicit_twin = None }
 
 let space t = t.space
 let n_states t = Explore.Space.n_states t.space
-let memo_size t = Hashtbl.length t.memo
 
-let materialise ~limit t =
+let initial_labeling t =
+  let initial = t.succ.Explore.Succ.initial in
+  Markov.Labeling.make ~n:1
+    (List.map
+       (fun p -> (p, if t.succ.Explore.Succ.holds initial p then [ 0 ] else []))
+       t.succ.Explore.Succ.propositions)
+
+let materialise t =
   match t.explicit_twin with
   | Some twin -> Ok twin
   | None -> (
@@ -82,9 +91,9 @@ let exact value =
 
 (* Theorem 1 on the materialised twin, for until queries whose reward
    bound is active inside the window. *)
-let until_via_materialised ?telemetry ?cancel ~epsilon ~limit t ~phi ~psi
-    ~time_bound ~reward_bound =
-  match materialise ~limit t with
+let until_via_materialised ?telemetry ?cancel ~epsilon t ~phi ~psi ~time_bound
+    ~reward_bound =
+  match materialise t with
   | Error n ->
     unsupported
       "reward bound is active and the state space exceeds %d states, so the \
@@ -112,7 +121,7 @@ let until_via_materialised ?telemetry ?cancel ~epsilon ~limit t ~phi ~psi
     let upper = Float.min 1.0 (value +. epsilon) in
     { value; delta = epsilon; lower; upper; stats = None; fallback = true }
 
-let until ?telemetry ?cancel ~epsilon ~limit t time reward phi_f psi_f =
+let until_locked ?telemetry ?cancel ~epsilon t time reward phi_f psi_f =
   let time_bound = time_bound_exn time in
   let reward_bound = reward_bound_exn reward in
   let phi = predicate t phi_f and psi = predicate t psi_f in
@@ -150,48 +159,22 @@ let until ?telemetry ?cancel ~epsilon ~limit t time reward phi_f psi_f =
       let reward_bound =
         match reward_bound with Some r -> r | None -> assert false
       in
-      until_via_materialised ?telemetry ~cancel ~epsilon ~limit t ~phi ~psi
+      until_via_materialised ?telemetry ~cancel ~epsilon t ~phi ~psi
         ~time_bound ~reward_bound
   end
 
-let path_probability ?telemetry ?cancel ~epsilon ~limit t
-    (path : Logic.Ast.path_formula) =
-  match path with
-  | Logic.Ast.Until (time, reward, phi, psi) ->
-    until ?telemetry ?cancel ~epsilon ~limit t time reward phi psi
-  | Logic.Ast.Next _ ->
-    unsupported "next on a successor-backed model (load the explicit model)"
-
-let eval_uncached ?telemetry ?cancel ~epsilon ~limit t
-    (query : Logic.Ast.query) =
-  (* The explicit reduction pipeline has nothing to run on — record the
-     bypass so downstream reports can tell. *)
-  Telemetry.add telemetry "reduction.symbolic_bypass" 1;
-  match query with
-  | Logic.Ast.Prob_query path ->
-    Numeric (path_probability ?telemetry ?cancel ~epsilon ~limit t path)
-  | Logic.Ast.Formula (Logic.Ast.Prob (cmp, p, path)) ->
-    let a = path_probability ?telemetry ?cancel ~epsilon ~limit t path in
-    Boolean (Logic.Ast.compare_holds cmp p a.value, Some a)
-  | Logic.Ast.Formula f ->
-    let pred = predicate t f in
-    Boolean (pred t.succ.Explore.Succ.initial, None)
-  | Logic.Ast.Steady_query _ ->
-    unsupported "steady-state on a successor-backed model"
-  | Logic.Ast.Reward_query _ ->
-    unsupported "expected-reward queries on a successor-backed model"
-  | Logic.Ast.Frontier_query _ ->
-    unsupported "frontier queries on a successor-backed model"
-
-let eval ?telemetry ?cancel ?(epsilon = 1e-9) ?(limit = 1_000_000) t query =
+(* The space and the explicit twin are mutable: one solve at a time. *)
+let until ?telemetry ?cancel ~epsilon t time reward phi psi =
   if not (epsilon > 0.0 && epsilon < 1.0) then
-    invalid_arg "Symbolic.eval: epsilon must be in (0, 1)";
-  let key = Format.asprintf "%a @@ %.17g" Logic.Ast.pp_query query epsilon in
-  match Hashtbl.find_opt t.memo key with
-  | Some outcome ->
-    Telemetry.add telemetry "explore.memo_hits" 1;
-    outcome
-  | None ->
-    let outcome = eval_uncached ?telemetry ?cancel ~epsilon ~limit t query in
-    Hashtbl.add t.memo key outcome;
-    outcome
+    invalid_arg "Symbolic.until: epsilon must be in (0, 1)";
+  Mutex.protect t.lock (fun () ->
+      until_locked ?telemetry ?cancel ~epsilon t time reward phi psi)
+
+let eval ?telemetry ?cancel ?(epsilon = 1e-9) t (query : Logic.Ast.query) =
+  match query with
+  | Logic.Ast.Prob_query (Logic.Ast.Until (time, reward, phi, psi)) ->
+    Numeric (until ?telemetry ?cancel ~epsilon t time reward phi psi)
+  | _ ->
+    unsupported
+      "a handle evaluates until probabilities; check other queries through \
+       a program context (Checker.make_program)"

@@ -1,42 +1,34 @@
-type payload =
-  | Checked of { ctx : Checker.t; memo : Checker.memo; init : Linalg.Vec.t }
-  | Symbolic of { path : string; sym : Perf.Symbolic.t }
-
 type entry = {
   name : string;
-  payload : payload;
+  ctx : Checker.t;
+  memo : Checker.memo;
+  init : Linalg.Vec.t;
   entry_lock : Mutex.t;
 }
 
 type t = {
-  make_ctx : Markov.Mrm.t -> Markov.Labeling.t -> Checker.t;
-  make_robust_ctx : Robust.Imrm.t -> Markov.Labeling.t -> Checker.t;
+  engine : Perf.Engine.spec;
+  context : Models.Source.t -> Checker.t * Linalg.Vec.t;
   table : (string, entry) Hashtbl.t;
   lock : Mutex.t;
 }
 
-let create ~make_ctx ~make_robust_ctx () =
-  { make_ctx; make_robust_ctx; table = Hashtbl.create 8;
+let create ~engine ~epsilon ~pool ?telemetry () =
+  { engine;
+    context = Batch.context ~engine ~epsilon ~pool ?telemetry;
+    table = Hashtbl.create 8;
     lock = Mutex.create () }
 
 let load t ~name ?builtin ?file ?drift ?imrm () =
   let source = Option.value builtin ~default:name in
-  match Models.Source.resolve ?file ?drift ?imrm source with
+  match Models.Source.resolve ~engine:t.engine ?file ?drift ?imrm source with
   | Error _ as e -> e
   | Ok resolved ->
-    let checked ctx init =
-      Checked { ctx; memo = Checker.create_memo (); init }
+    let ctx, init = t.context resolved in
+    let entry =
+      { name; ctx; memo = Checker.create_memo (); init;
+        entry_lock = Mutex.create () }
     in
-    let payload =
-      match resolved with
-      | Models.Source.Explicit { mrm; labeling; init } ->
-        checked (t.make_ctx mrm labeling) init
-      | Models.Source.Interval { imrm; labeling; init } ->
-        checked (t.make_robust_ctx imrm labeling) init
-      | Models.Source.Program { path; succ } ->
-        Symbolic { path; sym = Perf.Symbolic.create succ }
-    in
-    let entry = { name; payload; entry_lock = Mutex.create () } in
     Mutex.protect t.lock (fun () -> Hashtbl.replace t.table name entry);
     Ok entry
 

@@ -1,16 +1,16 @@
 (** The daemon's model registry: named models, each carrying its warm
     state.
 
-    Entries come in two flavours.  A {e checked} entry bundles a
-    point-valued or interval model with everything that makes repeat
-    queries cheap: a prepared {!Checker.t} and a {!Checker.memo} holding the
-    hash-consed Sat-set and path-probability tables plus the
-    {!Perf.Batch} cache of Theorem 1 pipelines.  A {e symbolic} entry
-    wraps a [.gcm] guarded-command program as a {!Perf.Symbolic.t},
-    whose warm state is the interned state space and the per-query
-    result memo — states discovered by one query are never re-discovered
-    by the next.  (The third warm layer, the Fox–Glynn window memo, is
-    process-wide, mutex-protected, and needs no per-entry state.)
+    Every entry is one record: a prepared {!Checker.t} built by
+    {!Batch.context} — precise for a point-valued model, robust for an
+    interval model, a program context for a [.gcm] program under the
+    windowed engine — plus a {!Checker.memo} holding the hash-consed
+    Sat-set and path-value tables and the {!Perf.Batch} cache of
+    Theorem 1 pipelines.  A program context also keeps its interned
+    state space warm: states discovered by one query are never
+    re-discovered by the next.  (The remaining warm layer, the
+    Fox–Glynn window memo, is process-wide, mutex-protected, and needs
+    no per-entry state.)
 
     Concurrency: the table itself is guarded by one mutex whose critical
     sections are tiny (hash lookups), so lookups on different models
@@ -29,52 +29,37 @@
     reclaimed by the GC afterwards.  Later requests on the evicted name
     get [None] from {!find}. *)
 
-type payload =
-  | Checked of {
-      ctx : Checker.t;
-          (** prepared on the server's engine/pool config: a precise
-              context ({!Checker.make}) for point-valued models, a robust
-              one ({!Checker.make_robust}) for interval models *)
-      memo : Checker.memo;
-          (** the entry's warm caches (envelopes and three-valued Sat
-              sets included on robust entries) *)
-      init : Linalg.Vec.t;  (** the model's initial distribution *)
-    }
-  | Symbolic of {
-      path : string;            (** the [.gcm] file it was loaded from *)
-      sym : Perf.Symbolic.t;    (** warm space + query memo *)
-    }
-
 type entry = {
   name : string;
-  payload : payload;
+  ctx : Checker.t;  (** prepared on the server's engine/pool config *)
+  memo : Checker.memo;
+      (** the entry's warm caches (envelopes, certified intervals and
+          three-valued Sat sets included) *)
+  init : Linalg.Vec.t;
+      (** the model's initial distribution (a program's one row) *)
   entry_lock : Mutex.t;
-      (** guards the payload's warm caches during a solve; take it via
+      (** guards the entry's warm caches during a solve; take it via
           {!exclusively} *)
 }
 
 type t
 
 val create :
-  make_ctx:(Markov.Mrm.t -> Markov.Labeling.t -> Checker.t) ->
-  make_robust_ctx:(Robust.Imrm.t -> Markov.Labeling.t -> Checker.t) ->
-  unit -> t
-(** [make_ctx] prepares the checking context for every loaded explicit
-    model — the server closes it over its engine, epsilon, pool and
-    telemetry; [make_robust_ctx] does the same for
-    interval-valued entries ({!Checker.make_robust}).  Symbolic entries
-    use neither. *)
+  engine:Perf.Engine.spec -> epsilon:float -> pool:Parallel.Pool.t ->
+  ?telemetry:Telemetry.t -> unit -> t
+(** Every loaded model is checked under [engine], [epsilon], [pool] and
+    [telemetry] (the server's config). *)
 
 val load :
   t -> name:string -> ?builtin:string -> ?file:string -> ?drift:float ->
   ?imrm:string -> unit -> (entry, Models.Source.error) result
 (** Build the model and register it under [name], replacing any
     existing entry (fresh warm state).  The model is
-    [Models.Source.resolve ?file ?drift ?imrm source] with [source] the
-    [builtin] name, or [name] itself without one — an alias gives the
-    entry its own independent warm caches.  Point-valued and interval
-    models become {!Checked} entries; [.gcm] programs become {!Symbolic}
-    entries, each load with a fresh, independent warm space. *)
+    [Models.Source.resolve ~engine ?file ?drift ?imrm source] with
+    [source] the [builtin] name, or [name] itself without one — an alias
+    gives the entry its own independent warm caches.  A [.gcm] program
+    follows the engine there: a program context under the windowed
+    engine, its materialised twin under the others. *)
 
 val find : t -> string -> entry option
 

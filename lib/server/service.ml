@@ -78,44 +78,12 @@ let preload t names =
 (* ------------------------------------------------------------------ *)
 (* Response bodies.                                                    *)
 
-(* Symbolic (successor-backed) models answer with a certified interval
-   instead of a per-state vector: there is no enumerated state space to
-   report over. *)
-let symbolic_answer_json (a : Perf.Symbolic.answer) =
-  [ ("value", Io.Json.Number a.Perf.Symbolic.value);
-    ("delta", Io.Json.Number a.Perf.Symbolic.delta);
-    ("lower", Io.Json.Number a.Perf.Symbolic.lower);
-    ("upper", Io.Json.Number a.Perf.Symbolic.upper);
-    ("fallback", Io.Json.Bool a.Perf.Symbolic.fallback) ]
-  @
-  match a.Perf.Symbolic.stats with
-  | None -> []
-  | Some s ->
-    [ ("window",
-       Io.Json.Object
-         [ ("peak_window",
-            Io.Json.Number (float_of_int s.Explore.Windowed.peak_window));
-           ("states_expanded",
-            Io.Json.Number (float_of_int s.Explore.Windowed.states_expanded));
-           ("mass_dropped", Io.Json.Number s.Explore.Windowed.mass_dropped);
-           ("iterations",
-            Io.Json.Number (float_of_int s.Explore.Windowed.iterations));
-           ("restarts",
-            Io.Json.Number (float_of_int s.Explore.Windowed.restarts));
-           ("rate", Io.Json.Number s.Explore.Windowed.rate) ]) ]
-
-let symbolic_verdict_json (outcome : Perf.Symbolic.outcome) =
-  match outcome with
-  | Perf.Symbolic.Numeric a ->
-    ("kind", Io.Json.String "numeric") :: symbolic_answer_json a
-  | Perf.Symbolic.Boolean (sat, a) ->
-    [ ("kind", Io.Json.String "boolean"); ("satisfied", Io.Json.Bool sat) ]
-    @ (match a with None -> [] | Some a -> symbolic_answer_json a)
-
+(* A program's reachable space is discovered on demand: its size is
+   the count interned so far. *)
 let entry_states (e : Registry.entry) =
-  match e.Registry.payload with
-  | Registry.Checked { ctx; _ } -> Markov.Mrm.n_states (Checker.mrm ctx)
-  | Registry.Symbolic { sym; _ } -> Perf.Symbolic.n_states sym
+  match Checker.program e.Registry.ctx with
+  | Some sym -> Perf.Symbolic.n_states sym
+  | None -> Markov.Mrm.n_states (Checker.mrm e.Registry.ctx)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution.                                                  *)
@@ -181,8 +149,6 @@ let guarded ?id f =
     Error (Protocol.error ?id ~code:"deadline_exceeded" reason)
   | exception Checker.Unsupported message ->
     Error (Protocol.error ?id ~code:"unsupported" message)
-  | exception Perf.Symbolic.Unsupported message ->
-    Error (Protocol.error ?id ~code:"unsupported" message)
   | exception Lang.Gcm.Runtime_error message ->
     Error (Protocol.error ?id ~code:"model_runtime_error" message)
   | exception Markov.Labeling.Unknown_proposition p ->
@@ -213,19 +179,11 @@ let stats_json t =
   let models =
     List.map
       (fun (e : Registry.entry) ->
-        let cache =
-          match e.Registry.payload with
-          | Registry.Checked { memo; _ } ->
-            Batch.caches_json (Checker.memo_counters memo)
-          | Registry.Symbolic { sym; _ } ->
-            Io.Json.Object
-              [ ("query_memo_entries",
-                 Io.Json.Number (float_of_int (Perf.Symbolic.memo_size sym))) ]
-        in
         Io.Json.Object
           [ ("name", Io.Json.String e.Registry.name);
             ("states", Io.Json.Number (float_of_int (entry_states e)));
-            ("cache", cache) ])
+            ("cache",
+             Batch.caches_json (Checker.memo_counters e.Registry.memo)) ])
       (Registry.entries t.reg)
   in
   [ ("requests", Io.Json.Object (List.map int_field requests));
@@ -244,28 +202,22 @@ let run_request t ~admitted ~id request =
       | Error e -> Error (load_error ?id e)
       | Ok entry ->
         let number n = Io.Json.Number (float_of_int n) in
+        let ctx = entry.Registry.ctx in
         let shape =
-          match entry.Registry.payload with
-          | Registry.Checked { ctx; _ } -> begin
-              match Checker.robust_model ctx with
-              | None ->
-                let mrm = Checker.mrm ctx in
-                [ ("states", number (Markov.Mrm.n_states mrm));
-                  ("transitions",
-                   number
-                     (Linalg.Csr.nnz (Markov.Ctmc.rates (Markov.Mrm.ctmc mrm))))
-                ]
-              | Some imrm ->
-                [ ("robust", Io.Json.Bool true);
-                  ("states", number (Robust.Imrm.n_states imrm));
-                  ("transitions", number (Robust.Imrm.n_transitions imrm));
-                  ("max_width", Io.Json.Number (Robust.Imrm.max_width imrm)) ]
-            end
-          | Registry.Symbolic { sym; _ } ->
-            (* The reachable space is discovered on demand; only the
-               interned count (the initial state, at load time) exists. *)
+          match Checker.robust_model ctx, Checker.program ctx with
+          | Some imrm, _ ->
+            [ ("robust", Io.Json.Bool true);
+              ("states", number (Robust.Imrm.n_states imrm));
+              ("transitions", number (Robust.Imrm.n_transitions imrm));
+              ("max_width", Io.Json.Number (Robust.Imrm.max_width imrm)) ]
+          | None, Some sym ->
             [ ("symbolic", Io.Json.Bool true);
               ("states_interned", number (Perf.Symbolic.n_states sym)) ]
+          | None, None ->
+            let mrm = Checker.mrm ctx in
+            let rates = Markov.Ctmc.rates (Markov.Mrm.ctmc mrm) in
+            [ ("states", number (Markov.Mrm.n_states mrm));
+              ("transitions", number (Linalg.Csr.nnz rates)) ]
         in
         Ok (ok ~kind:"load" (("model", Io.Json.String model) :: shape))
     end
@@ -295,33 +247,14 @@ let run_request t ~admitted ~id request =
         ("query", Io.Json.String (Format.asprintf "%a" Logic.Ast.pp_query q))
       ]
     in
-    (match entry.Registry.payload with
-     | Registry.Checked { ctx; memo; init } ->
-       let ctx = Checker.with_cancel ctx token in
-       let* verdict =
-         Registry.exclusively entry (fun () ->
-             guarded ?id (fun () -> Checker.eval_query ~memo ctx q))
-       in
-       let result = Io.Json.Object (Batch.verdict_json ~init verdict) in
-       Ok (ok ~kind:"check" (header @ [ ("result", result) ]))
-     | Registry.Symbolic { sym; _ } ->
-       (* The server's engine config only constrains the epsilon here: a
-          symbolic model is always solved by the windowed engine. *)
-       let epsilon =
-         match t.config.engine with
-         | Perf.Engine.Windowed { epsilon } -> epsilon
-         | _ -> t.config.epsilon
-       in
-       let* outcome =
-         Registry.exclusively entry (fun () ->
-             guarded ?id (fun () ->
-                 Perf.Symbolic.eval ?telemetry:t.config.telemetry
-                   ?cancel:token ~epsilon sym q))
-       in
-       Ok
-         (ok ~kind:"check"
-            (header
-            @ [ ("result", Io.Json.Object (symbolic_verdict_json outcome)) ])))
+    let { Registry.ctx; memo; init; _ } = entry in
+    let ctx = Checker.with_cancel ctx token in
+    let* verdict =
+      Registry.exclusively entry (fun () ->
+          guarded ?id (fun () -> Checker.eval_query ~memo ctx q))
+    in
+    let result = Io.Json.Object (Batch.verdict_json ~init verdict) in
+    Ok (ok ~kind:"check" (header @ [ ("result", result) ]))
   | Quantile { model; query; variable; target; hi; tolerance; _ } ->
     let* entry = resolve t ?id model in
     let* q = parse_query ?id query in
@@ -334,19 +267,10 @@ let run_request t ~admitted ~id request =
           (Protocol.error ?id ~code:"bad_request"
              "quantile needs a P=? query whose path formula is an until")
     in
-    let* ctx, memo, init =
-      match entry.Registry.payload with
-      | Registry.Checked { ctx; _ } when Checker.is_robust ctx ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "quantile search needs point probabilities; check the interval \
-              model's envelopes with P queries instead")
-      | Registry.Checked { ctx; memo; init } -> Ok (ctx, memo, init)
-      | Registry.Symbolic _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "quantile search runs on explicit models only; check the .gcm \
-              model directly or load its materialised .mrm")
+    let { Registry.ctx; memo; init; _ } = entry in
+    let* () =
+      guarded ?id (fun () ->
+          Checker.require_precise ctx "quantile search needs")
     in
     let* token = deadline_token t ~admitted ?id request in
     let ctx = Checker.with_cancel ctx token in
@@ -400,15 +324,7 @@ let run_request t ~admitted ~id request =
              "frontier needs a frontier query: 'frontier[N] P>=p ( phi \
               U[t<=T][r<=R] psi )'")
     in
-    let* ctx, memo, init =
-      match entry.Registry.payload with
-      | Registry.Checked { ctx; memo; init } -> Ok (ctx, memo, init)
-      | Registry.Symbolic _ ->
-        Error
-          (Protocol.error ?id ~code:"unsupported"
-             "frontier sweeps run on explicit models only; check the .gcm \
-              model directly or load its materialised .mrm")
-    in
+    let { Registry.ctx; memo; init; _ } = entry in
     let* token = deadline_token t ~admitted ?id request in
     let ctx = Checker.with_cancel ctx token in
     (* Every probe is an ordinary solve with the entry's memo, so the
@@ -519,16 +435,10 @@ let create config =
     invalid_arg "Service.create: executors must be >= 1";
   if config.queue_bound < 1 then
     invalid_arg "Service.create: queue_bound must be >= 1";
-  let make_ctx mrm labeling =
-    Checker.make ~engine:config.engine ~epsilon:config.epsilon
-      ~pool:config.pool ?telemetry:config.telemetry mrm labeling
-  in
-  let make_robust_ctx imrm labeling =
-    Checker.make_robust ~engine:config.engine ~epsilon:config.epsilon
-      ~pool:config.pool ?telemetry:config.telemetry imrm labeling
-  in
   { config;
-    reg = Registry.create ~make_ctx ~make_robust_ctx ();
+    reg =
+      Registry.create ~engine:config.engine ~epsilon:config.epsilon
+        ~pool:config.pool ?telemetry:config.telemetry ();
     counters =
       { c_load = 0; c_evict = 0; c_list = 0; c_check = 0; c_quantile = 0;
         c_frontier = 0; c_stats = 0; c_shutdown = 0; c_errors = 0;
@@ -738,24 +648,35 @@ let accept_poll_s = 0.1
 let serve_listeners t listeners =
   ignore (executor t);
   let stopping = Atomic.make false in
-  let sessions_lock = Mutex.create () in
-  let sessions = ref [] in
+  (* Live sessions are counted, not kept: a finished session's thread
+     is let go at once, so a long-running daemon does not grow with the
+     connections it has served. *)
+  let sessions_lock = Mutex.create () and sessions_done = Condition.create () in
+  let live = ref 0 in
+  let session_ended () =
+    Mutex.protect sessions_lock (fun () ->
+        decr live;
+        if !live = 0 then Condition.broadcast sessions_done)
+  in
   let handle client =
-    let thread =
-      Thread.create
-        (fun () ->
-          let input = Unix.in_channel_of_descr client
-          and output = Unix.out_channel_of_descr client in
-          let on_shutdown () = Atomic.set stopping true in
+    Mutex.protect sessions_lock (fun () -> incr live);
+    let session () =
+      let input = Unix.in_channel_of_descr client
+      and output = Unix.out_channel_of_descr client in
+      let on_shutdown () = Atomic.set stopping true in
+      Fun.protect ~finally:session_ended (fun () ->
           ignore (serve_session ~on_shutdown t ~input ~output : outcome);
           (* The channels share one descriptor: closing the out side
              flushes and closes it.  The in side is left to the GC, which
              never closes descriptors: a second close could hit the
              number after accept(2) has handed it to a new connection. *)
           close_out_noerr output)
-        ()
     in
-    Mutex.protect sessions_lock (fun () -> sessions := thread :: !sessions)
+    match Thread.create session () with
+    | (_ : Thread.t) -> ()
+    | exception e ->
+      session_ended ();
+      raise e
   in
   (* Accept via a polling select so a shutdown served on one connection
      stops every accept loop within one poll — closing a descriptor
@@ -808,20 +729,10 @@ let serve_listeners t listeners =
       List.iter Thread.join acceptors);
   (* Drain active sessions before returning so the registry is quiet
      when the caller stops the service. *)
-  let rec join_all () =
-    let pending =
-      Mutex.protect sessions_lock (fun () ->
-          let p = !sessions in
-          sessions := [];
-          p)
-    in
-    match pending with
-    | [] -> ()
-    | threads ->
-      List.iter Thread.join threads;
-      join_all ()
-  in
-  join_all ()
+  Mutex.protect sessions_lock (fun () ->
+      while !live > 0 do
+        Condition.wait sessions_done sessions_lock
+      done)
 
 let serve_socket t ~path =
   match unix_listener ~path with

@@ -53,6 +53,10 @@
 
 type config = {
   engine : Perf.Engine.spec;
+      (** checks every model, and decides what a loaded [.gcm] program
+          becomes ({!Models.Source.resolve}): a program context under
+          [Windowed], certified at its epsilon, the materialised twin
+          otherwise *)
   epsilon : float;
   pool : Parallel.Pool.t;
   queue_bound : int;
@@ -143,7 +147,9 @@ val serve_listeners : t -> listener list -> unit
     is then closed and cleaned up, so new connections are refused.
     Returns once the live sessions have drained (each ends at its
     client's EOF; the one that sent [shutdown] refuses later
-    requests). *)
+    requests).  Live sessions are counted, not kept: a finished
+    session's thread is released at once, so memory does not grow with
+    the number of connections served. *)
 
 val serve_socket : t -> path:string -> unit
 (** [serve_listeners] over a single Unix-domain listener at [path];

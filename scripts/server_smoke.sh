@@ -16,7 +16,10 @@
 #     in the stats response) with responses identical to round 1,
 #   - a shutdown request stops the daemon within the timeout and the
 #     socket file is removed,
-#   - the same workload answered over TCP matches the socket answers.
+#   - the same workload answered over TCP matches the socket answers,
+#   - a .gcm program on a windowed daemon answers a check with the
+#     result object of `csrl-check --engine windowed --batch` on the
+#     same file, string for string, identically in a warm second round.
 #
 # EXECUTORS (default 1) sets the daemon's --executors count; the
 # assertions are executor-count independent, so CI runs the script at 1
@@ -29,16 +32,21 @@ CHECK=${CHECK:-_build/default/bin/csrl_check.exe}
 EXECUTORS=${EXECUTORS:-1}
 
 SOCK=$(mktemp -u "${TMPDIR:-/tmp}/csrl-smoke-XXXXXX.sock")
+GCM_SOCK=$(mktemp -u "${TMPDIR:-/tmp}/csrl-smoke-gcm-XXXXXX.sock")
 ROUND1=$(mktemp)
 ROUND2=$(mktemp)
 TCPLOG=$(mktemp)
 TCPROUND=$(mktemp)
+GCMROUND=$(mktemp)
 SERVER_PID=
 TCP_PID=
+GCM_PID=
 cleanup() {
   [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
   [ -n "$TCP_PID" ] && kill "$TCP_PID" 2>/dev/null || true
-  rm -f "$SOCK" "$ROUND1" "$ROUND2" "$TCPLOG" "$TCPROUND"
+  [ -n "$GCM_PID" ] && kill "$GCM_PID" 2>/dev/null || true
+  rm -f "$SOCK" "$GCM_SOCK" "$ROUND1" "$ROUND2" "$TCPLOG" "$TCPROUND" \
+    "$GCMROUND"
 }
 trap cleanup EXIT
 
@@ -156,5 +164,36 @@ if kill -0 "$TCP_PID" 2>/dev/null; then
 fi
 wait "$TCP_PID" || fail "TCP daemon exited nonzero"
 TCP_PID=
+
+# A .gcm program under the windowed engine: the daemon's check result is
+# csrl-check's batch entry for the same file and engine, and a second
+# check on the warm entry answers the same bytes.
+GCM_QUERY='P>=0.0009 ( true U[t<=10] frontier )'
+gcm_reference=$(printf '{"queries": ["%s"]}' "$GCM_QUERY" \
+  | "$CHECK" --file examples/grid.gcm --engine windowed --batch - \
+  | sed -n 's/.*"results":\[{"name":"q0","query":"[^"]*",\(.*\)}\],"cache".*/\1/p')
+case "$gcm_reference" in
+  '"kind":"three-valued",'*) ;;
+  *) fail "could not extract the csrl-check .gcm reference (got '$gcm_reference')" ;;
+esac
+"$SERVE" --socket "$GCM_SOCK" --executors "$EXECUTORS" --engine windowed &
+GCM_PID=$!
+gcm_check="{\"kind\": \"check\", \"model\": \"grid\", \"query\": \"$GCM_QUERY\"}"
+{
+  echo '{"kind": "load", "model": "grid", "file": "examples/grid.gcm"}'
+  echo "$gcm_check"
+  echo "$gcm_check"
+} | "$CLIENT" --connect "$GCM_SOCK" --timeout 10 > "$GCMROUND"
+grep -q '"kind":"load","model":"grid","symbolic":true' "$GCMROUND" \
+  || fail "grid.gcm did not load as a program"
+gcm_served=$(sed -n 's/.*"kind":"check".*"result":{\(.*\)}}$/\1/p' "$GCMROUND")
+[ "$(printf '%s\n' "$gcm_served" | wc -l)" -eq 2 ] \
+  || fail "expected two .gcm check results (got '$gcm_served')"
+[ "$(printf '%s\n' "$gcm_served" | sort -u)" = "$gcm_reference" ] \
+  || fail ".gcm check results do not match csrl-check's batch entry"
+ack=$(: | "$CLIENT" --connect "$GCM_SOCK" --shutdown)
+[ "$ack" = '{"ok":true,"kind":"shutdown"}' ] || fail "bad .gcm shutdown ack: $ack"
+wait "$GCM_PID" || fail ".gcm daemon exited nonzero"
+GCM_PID=
 
 echo "server_smoke: OK (check answer $reference, $path_hits warm path-cache hits, executors $EXECUTORS, tcp port $PORT)"

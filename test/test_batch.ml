@@ -192,10 +192,43 @@ let test_fox_glynn_cache_identity () =
   let c = Numerics.Fox_glynn.cache_counters () in
   Alcotest.(check int) "cleared" 0 c.Numerics.Fox_glynn.lookups
 
+(* A program context's queries share one Perf.Symbolic handle, whose
+   interned space and materialised twin are mutable: a batch spread over
+   two domains answers every query bit-identically to the sequential
+   run, reward fallbacks (which materialise the twin) included. *)
+let test_program_across_domains () =
+  let succ =
+    match Lang.Gcm.of_string (Models.Gcm_examples.grid ~n:12 ()) with
+    | Ok succ -> succ
+    | Error message -> Alcotest.fail message
+  in
+  let queries =
+    List.map Logic.Parser.query
+      [ "P=? ( true U[t<=2] frontier )"; "P=? ( true U[t<=3] frontier )";
+        "P=? ( true U[t<=4] frontier )"; "P>=0.2 ( true U[t<=5] frontier )";
+        "P=? ( !corner U[t<=6] frontier )"; "P=? ( true U[t<=3][r<=5] frontier )";
+        "P=? ( true U[t<=7] corner )"; "P<0.5 ( true U[t<=4][r<=8] frontier )" ]
+  in
+  let run ?pool () =
+    Batch.run ?pool
+      (Checker.make_program ~epsilon:1e-9 (Perf.Symbolic.create succ))
+      queries
+    |> List.map pp_verdict
+  in
+  let sequential = run () in
+  Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      for round = 1 to 3 do
+        Alcotest.(check (list string))
+          (Printf.sprintf "two domains, round %d" round)
+          sequential (run ~pool ())
+      done)
+
 let suite =
   ( "batch",
     [ QCheck_alcotest.to_alcotest batch_matches_sequential;
       Alcotest.test_case "memoised verdicts are fresh copies" `Quick
         test_memo_no_aliasing;
       Alcotest.test_case "fox-glynn cache identity" `Quick
-        test_fox_glynn_cache_identity ] )
+        test_fox_glynn_cache_identity;
+      Alcotest.test_case "program queries across domains" `Quick
+        test_program_across_domains ] )

@@ -333,7 +333,14 @@ let gen_gcm_case =
   let* coupled = bool and* branching = bool in
   let* front = int_range 1 (nx + ny) in
   let* t = float_range 0.2 2.0 in
-  let* cmp = oneofl Logic.Ast.[ Lt; Le; Gt; Ge ] and* p = float_range 0.0 1.0 in
+  (* Half the thresholds are drawn inside the certified interval, as a
+     fraction of its width; the others anywhere in [0, 1]. *)
+  let* cmp = oneofl Logic.Ast.[ Lt; Le; Gt; Ge ]
+  and* p =
+    oneof
+      [ map (fun u -> `Inside u) (float_range 0.05 0.95);
+        map (fun p -> `Absolute p) (float_range 0.0 1.0) ]
+  in
   return
     ( random_gcm_src ~nx ~ny ~ix ~iy ~rates ~coupled ~branching ~front,
       t, (cmp, p) )
@@ -342,9 +349,10 @@ let gen_gcm_case =
    radius never exceeds the requested epsilon, and the answer is within
    that radius of full-matrix uniformised reachability on the
    materialised twin (goal states made absorbing, tighter epsilon so the
-   reference's own error is negligible).  A threshold query decides as
-   the twin's value does, unless the threshold lies within the certified
-   interval widened by epsilon. *)
+   reference's own error is negligible).  A threshold checked through a
+   program context is [Unknown] exactly when it lies inside the
+   certified interval ({!Checker.tri_of_bounds}), and otherwise decides
+   as the twin's value does. *)
 let windowed_within_delta_on_random_gcm =
   QCheck2.Test.make ~count:30 ~name:"random .gcm: windowed within delta"
     gen_gcm_case (fun (src, t, (cmp, p)) ->
@@ -394,30 +402,47 @@ let windowed_within_delta_on_random_gcm =
           "windowed %.17g vs explicit %.17g: |diff| %g outside certified \
            delta %g\n%s"
           r.Explore.Windowed.value reference diff r.Explore.Windowed.delta src;
-      let lo = r.Explore.Windowed.lower -. epsilon
-      and hi = r.Explore.Windowed.upper +. epsilon in
-      (if p < lo || p > hi then
-         let op =
-           match cmp with
-           | Logic.Ast.Lt -> "<" | Logic.Ast.Le -> "<="
-           | Logic.Ast.Gt -> ">" | Logic.Ast.Ge -> ">="
-         in
-         let query =
-           Printf.sprintf "P%s%.17g ( true U[t<=%.17g] goal )" op p t
-         in
-         match
-           Perf.Symbolic.eval ~epsilon
-             (Perf.Symbolic.create succ)
-             (Logic.Parser.query query)
-         with
-         | Perf.Symbolic.Boolean (verdict, _) ->
-           let expected = Logic.Ast.compare_holds cmp p reference in
-           if verdict <> expected then
-             QCheck2.Test.fail_reportf
-               "%s: windowed verdict %b, explicit value %.17g says %b\n%s"
-               query verdict reference expected src
-         | Perf.Symbolic.Numeric _ ->
-           QCheck2.Test.fail_reportf "%s: expected a verdict" query);
+      let ctx = Checker.make_program ~epsilon (Perf.Symbolic.create succ) in
+      let memo = Checker.create_memo () in
+      let until =
+        Logic.Ast.Until
+          ( Numerics.Time_interval.upto t, Numerics.Time_interval.unbounded,
+            Logic.Ast.True, Logic.Ast.Ap "goal" )
+      in
+      let lo, hi =
+        match Checker.eval_query ~memo ctx (Logic.Ast.Prob_query until) with
+        | Checker.Interval { Robust.Envelope.lo; hi } -> (lo.{0}, hi.{0})
+        | _ -> QCheck2.Test.fail_reportf "expected an interval verdict"
+      in
+      if
+        not
+          (Float.equal lo r.Explore.Windowed.lower
+          && Float.equal hi r.Explore.Windowed.upper)
+      then
+        QCheck2.Test.fail_reportf
+          "program context [%h, %h] vs windowed engine [%h, %h]\n%s" lo hi
+          r.Explore.Windowed.lower r.Explore.Windowed.upper src;
+      let p =
+        match p with `Inside u -> lo +. (u *. (hi -. lo)) | `Absolute p -> p
+      in
+      let formula = Logic.Ast.Prob (cmp, p, until) in
+      let expected =
+        match Checker.tri_of_bounds cmp p ~lo ~hi with
+        | Checker.Unknown -> Checker.Unknown
+        | Checker.Holds | Checker.Fails ->
+          Checker.tri_of_bool (Logic.Ast.compare_holds cmp p reference)
+      in
+      (match Checker.eval_query ~memo ctx (Logic.Ast.Formula formula) with
+       | Checker.Three_valued [| verdict |] when verdict = expected -> ()
+       | Checker.Three_valued [| verdict |] ->
+         QCheck2.Test.fail_reportf
+           "%s: verdict %s, expected %s (interval [%.17g, %.17g], explicit \
+            %.17g)\n%s"
+           (Logic.Ast.to_string formula)
+           (Checker.tri_to_string verdict)
+           (Checker.tri_to_string expected)
+           lo hi reference src
+       | _ -> QCheck2.Test.fail_reportf "expected a one-row verdict");
       true)
 
 (* Answers and window statistics of the gcm-window grid, pinned bit for

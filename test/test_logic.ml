@@ -138,21 +138,27 @@ let test_helpers () =
 
 (* ---------------- round-trip property ------------------------------ *)
 
+(* Probabilities and bounds are arbitrary finite floats: thresholds
+   anywhere in [0, 1], bounds at every magnitude from 2^-30 to 2^31,
+   most of them needing all 17 significant digits to read back. *)
 let gen_formula =
   let open QCheck2.Gen in
+  let gen_bound =
+    map2
+      (fun m e -> Float.ldexp (1.0 +. m) e)
+      (float_range 0.0 1.0) (int_range (-30) 30)
+  in
   let gen_interval =
     oneof
       [ return unb;
-        map (fun b -> upto (Float.of_int b)) (int_range 0 99);
-        map (fun a -> Numerics.Time_interval.from (Float.of_int a)) (int_range 1 99);
+        map upto gen_bound;
+        map Numerics.Time_interval.from gen_bound;
         map2
-          (fun a len ->
-            Numerics.Time_interval.between (Float.of_int a)
-              (Float.of_int (a + len)))
-          (int_range 1 50) (int_range 0 49) ]
+          (fun a len -> Numerics.Time_interval.between a (a +. len))
+          gen_bound gen_bound ]
   in
   let gen_cmp = oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
-  let gen_prob = map (fun p -> float_of_int p /. 100.0) (int_range 0 100) in
+  let gen_prob = float_range 0.0 1.0 in
   let gen_ap = map (fun c -> Ast.Ap (Printf.sprintf "p%d" c)) (int_range 0 5) in
   fix
     (fun self depth ->

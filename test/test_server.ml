@@ -294,72 +294,111 @@ let frontier_request () =
 (* ------------------------------------------------------------------ *)
 (* Service semantics.                                                  *)
 
+(* serve.t's chain program. *)
+let chain_gcm =
+  {|module chain
+  x : [0..3] init 0;
+  [] x < 3 -> 1.0 : (x'=x+1);
+endmodule
+label "full" = x=3;
+|}
+
 (* The differential claim: a served check answers bit-identically to a
-   plain Checker.eval_query on a fresh context, and a second round on
-   the now-warm service answers from the memo with the same bytes. *)
+   cold Checker.eval_query on a fresh context of the same kind — a
+   point model, an interval model, and a .gcm program on a windowed
+   service — and a second round on the now-warm service answers from
+   the memo with the same bytes.  The program's queries include two
+   pairs whose bounds print alike at six digits, each answered as in a
+   fresh session. *)
 let differential_check () =
-  let service = fresh_service () in
-  let queries =
-    [ "P=? ( F[t<=2] doze )";
-      "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )";
-      "P>=0.5 ( (call_idle | doze) U[t<=24][r<=600] call_initiated )";
-      "S=? ( doze )" ]
-  in
   let mrm, labeling, init = adhoc () in
-  let ctx = Checker.make mrm labeling in
-  let reference text =
-    match Checker.eval_query ctx (Logic.Parser.query text) with
-    | Checker.Numeric v ->
-      [ ("kind", Io.Json.String "numeric");
-        ("value", Io.Json.Number (Linalg.Vec.dot init v));
-        ("states",
-         Io.Json.List
-           (Array.to_list (Array.map (fun x -> Io.Json.Number x) (Linalg.Vec.to_array v)))) ]
-    | Checker.Boolean mask ->
-      let ind = Array.map (fun b -> if b then 1.0 else 0.0) mask in
-      [ ("kind", Io.Json.String "boolean");
-        ("initial_mass", Io.Json.Number (Linalg.Vec.dot init (Linalg.Vec.of_array ind)));
-        ("states",
-         Io.Json.List
-           (Array.to_list (Array.map (fun b -> Io.Json.Bool b) mask))) ]
-    | _ -> Alcotest.fail "expected a point verdict"
+  let chain_path = Filename.temp_file "chain" ".gcm" in
+  Out_channel.with_open_text chain_path (fun oc ->
+      output_string oc chain_gcm);
+  let program () =
+    match Lang.Gcm.of_string chain_gcm with
+    | Ok succ ->
+      (Checker.make_program (Perf.Symbolic.create succ), Linalg.Vec.unit 1 0)
+    | Error message -> Alcotest.fail message
   in
-  let round name =
-    List.iter
-      (fun text ->
-        let response = Service.execute service (check_env "adhoc" text None) in
-        let result =
-          match member [ "result" ] response with
-          | Some r -> r
-          | None -> Alcotest.failf "no result in %s" (json_str response)
-        in
-        (* String equality of the rendered JSON is bit-identity: Io.Json
-           prints floats with round-trip precision. *)
-        Alcotest.(check string) (name ^ ": " ^ text)
-          (json_str (Io.Json.Object (reference text)))
-          (json_str result))
-      queries
+  let cases =
+    [ ( "adhoc", None, Service.default_config (),
+        (fun () -> (Checker.make mrm labeling, init)),
+        [ "P=? ( F[t<=2] doze )";
+          "P=? ( (call_idle | doze) U[t<=24][r<=600] call_initiated )";
+          "P>=0.5 ( (call_idle | doze) U[t<=24][r<=600] call_initiated )";
+          "S=? ( doze )" ] );
+      ( "adhoc-drift:5", None, Service.default_config (),
+        (fun () ->
+          ( Checker.make_robust
+              (Robust.Imrm.of_mrm ~rate_drift:0.05 mrm)
+              labeling,
+            init )),
+        [ "P=? ( F[t<=2] doze )"; "P>=0.4 ( F[t<=1] doze )";
+          "doze | call_idle" ] );
+      ( "chain", Some chain_path,
+        { (Service.default_config ()) with
+          engine = Perf.Engine.Windowed { epsilon = 1e-9 } },
+        program,
+        [ "P=? ( true U[t<=1.0000001] full )";
+          "P=? ( true U[t<=1.0000004] full )";
+          "P>=0.08030136 ( true U[t<=1] full )";
+          "P>=0.0803014 ( true U[t<=1] full )";
+          "P>=0.08030139704 ( true U[t<=1] full )"; "!full" ] ) ]
   in
-  let path_counter key =
-    let stats =
-      Service.execute service { Protocol.id = None; request = Protocol.Stats }
+  let differential (model, file, config, fresh, queries) =
+    let service = Service.create config in
+    let load =
+      Protocol.Load { model; file; builtin = None; drift = None; imrm = None }
     in
-    match
-      Option.bind (member [ "models" ] stats) (function
-        | Io.Json.List [ model ] ->
-          Option.bind (member [ "cache"; "path"; key ] model) Io.Json.to_float
-        | _ -> None)
-    with
-    | Some v -> int_of_float v
-    | None -> Alcotest.failf "no path %s in %s" key (json_str stats)
+    ignore (Service.execute service { Protocol.id = None; request = load });
+    let reference text =
+      let ctx, init = fresh () in
+      Batch.verdict_json ~init (Checker.eval_query ctx (Logic.Parser.query text))
+    in
+    let round name =
+      List.iter
+        (fun text ->
+          let response = Service.execute service (check_env model text None) in
+          let result =
+            match member [ "result" ] response with
+            | Some r -> r
+            | None -> Alcotest.failf "no result in %s" (json_str response)
+          in
+          (* String equality of the rendered JSON is bit-identity: Io.Json
+             prints floats with round-trip precision. *)
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: %s" model name text)
+            (json_str (Io.Json.Object (reference text)))
+            (json_str result))
+        queries
+    in
+    let path_counter key =
+      let stats =
+        Service.execute service { Protocol.id = None; request = Protocol.Stats }
+      in
+      match
+        Option.bind (member [ "models" ] stats) (function
+          | Io.Json.List [ model ] ->
+            Option.bind (member [ "cache"; "path"; key ] model) Io.Json.to_float
+          | _ -> None)
+      with
+      | Some v -> int_of_float v
+      | None -> Alcotest.failf "no path %s in %s" key (json_str stats)
+    in
+    round "round 1";
+    let lookups = path_counter "lookups" and hits = path_counter "hits" in
+    round "round 2";
+    let lookups = path_counter "lookups" - lookups
+    and hits = path_counter "hits" - hits in
+    Alcotest.(check bool) (model ^ ": round 2 looks paths up") true
+      (lookups > 0);
+    Alcotest.(check int) (model ^ ": every round-2 path lookup hits") lookups
+      hits
   in
-  round "round 1";
-  let lookups = path_counter "lookups" and hits = path_counter "hits" in
-  round "round 2";
-  let lookups = path_counter "lookups" - lookups
-  and hits = path_counter "hits" - hits in
-  Alcotest.(check bool) "round 2 looks paths up" true (lookups > 0);
-  Alcotest.(check int) "every round-2 path lookup hits" lookups hits
+  Fun.protect
+    ~finally:(fun () -> Sys.remove chain_path)
+    (fun () -> List.iter differential cases)
 
 (* A deadline that fires mid-Sericola: the solve is abandoned with a
    structured error, and the interrupted run leaves no partial result
@@ -413,11 +452,7 @@ let evict_in_flight () =
     | None -> Alcotest.fail "preloaded model missing"
   in
   let query = Logic.Parser.query "P=? ( F[t<=2] doze )" in
-  let ctx, memo =
-    match entry.Server.Registry.payload with
-    | Server.Registry.Checked { ctx; memo; _ } -> (ctx, memo)
-    | _ -> Alcotest.fail "expected an explicit entry"
-  in
+  let { Server.Registry.ctx; memo; _ } = entry in
   let before = Checker.eval_query ~memo ctx query in
   Alcotest.(check bool) "evict" true (Server.Registry.evict reg "adhoc");
   (* The resolved entry keeps working after eviction — in-flight
